@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, sqrt
 
 import numpy as np
@@ -31,9 +32,6 @@ __all__ = [
     "coupling_range",
     "product_basis_index",
 ]
-
-MAX_TWICE_J = 16
-
 
 @dataclass(frozen=True, order=True)
 class Spin:
@@ -177,7 +175,15 @@ def coupled_basis_vector(j1: Spin, j2: Spin, J: Spin, M) -> np.ndarray:
 
 
 def projector(j1: Spin, j2: Spin, J: Spin) -> DenseOperator:
-    """Projector P_J = sum_M |J M><J M| onto the total-spin-J block."""
+    """Projector P_J = sum_M |J M><J M| onto the total-spin-J block.
+
+    Built once per (j1, j2, J) and shared: the returned matrix is read-only.
+    """
+    return _projector(j1, j2, J)
+
+
+@lru_cache(maxsize=128)
+def _projector(j1: Spin, j2: Spin, J: Spin) -> DenseOperator:
     if J not in coupling_range(j1, j2):
         raise ValueError(f"J={J} outside coupling range of {j1}, {j2}")
     dim = j1.dim * j2.dim

@@ -277,7 +277,7 @@ def cmd_verify(args) -> int:
     family = args.family
     param = parse_spin(args.param).j if family == "2xN" else int(args.param)
     summary = verify_closed_form(family, param, samples=args.samples, seed=args.seed,
-                                 tol=args.tol, grid=args.grid, refine_iters=args.iters)
+                                 tol=args.tol)
     command = {"name": "verify", "family": family, "param": args.param,
                "samples": args.samples, "seed": args.seed, "tol": args.tol}
     result = {"passed": summary.passed, "max_abs_diff": summary.max_abs_diff,
@@ -331,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--iters", type=int, default=40)
+    # accepted and ignored, so that command lines written for the former
+    # grid-search oracle keep their exit code and output
+    p.add_argument("--grid", type=int, default=200, help=argparse.SUPPRESS)
+    p.add_argument("--iters", type=int, default=40, help=argparse.SUPPRESS)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)
 

@@ -1,11 +1,13 @@
 """Independent numerical verification of the closed forms.
 
-Derivative-free minimization (golden section on the 2(x)N interval, a
-coarse grid plus shrinking-box refinement on the 3(x)N polygon) of the
-reduced KL objective, dense partial-transpose eigenvalue tests, and a
-batch closed-form-vs-oracle comparison.  The objective is convex and the
-feasible sets are convex, so the bracketing searches are globally
-correct; infinite KL values act as sentinels that lose every comparison.
+Derivative-free minimization of the reduced KL objective over the
+feasible set (the PPT interval for 2(x)N, a convex polygon for 3(x)N),
+dense partial-transpose eigenvalue tests, and a batch closed-form-vs-
+oracle comparison.  The objective is convex and the feasible sets are
+convex, so the minimum over a polygon is the state itself when it is
+feasible and otherwise lies on the boundary; one golden-section search
+per polygon edge, run in lockstep over every edge of every sample, finds
+it.  Infinite KL values act as sentinels that lose every comparison.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ __all__ = [
     "verify_closed_form",
 ]
 
-DEFAULT_GRID = 200
-DEFAULT_REFINE_ITERS = 40
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_STEPS = 200  # 0.618**200 ~ 1e-42: reached only when rounding stalls a bracket above tol
+_INTERVAL_TOL = 1e-10
+_POLYGON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,43 +64,69 @@ class VerificationSummary:
     passed: bool
 
 
-def _kl2(p: float, q: float) -> float:
-    """Two-outcome KL between (p, 1-p) and (q, 1-q)."""
+def _kl(p, q) -> np.ndarray:
+    """Discrete KL sum_k p[k] ln(p[k] / q[k]), elementwise over broadcast arrays.
+
+    `p` and `q` hold one array per outcome; 0 ln 0 = 0 and a support
+    violation (p[k] > 0 where q[k] <= 0) gives +inf.
+    """
     total = 0.0
-    for pi, qi in ((p, q), (1.0 - p, 1.0 - q)):
-        if pi > 0.0:
-            if qi <= 0.0:
-                return math.inf
-            total += pi * math.log(pi / qi)
-    return max(total, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pk, qk in zip(p, q):
+            term = np.where(qk > 0.0, pk * np.log(pk / qk), np.inf)
+            total = total + np.where(pk > 0.0, term, 0.0)
+    return np.maximum(total, 0.0)
 
 
-def minimize_kl_over_interval(j: Spin, p: float, tol: float = 1e-10) -> MinimizationReport:
-    """Golden-section minimization of KL(p || q) over q in [0, 2j/(2j+1)]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    lo, hi = 0.0, separability_threshold(j)
-    f = lambda q: _kl2(p, q)
+def _golden_section(f, lo, hi, tol: float):
+    """Golden-section minimization of a convex f on every bracket [lo, hi] at once.
+
+    `f` maps an array of points, one per bracket, to their values.  All
+    brackets step in lockstep until the widest is at most `tol`.  Returns
+    (points, values, steps, final widths); each point is the best of the
+    final bracket and the original endpoints, ties going to the smaller.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    lo0, hi0 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo, hi = lo0, hi0
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    iters = 0
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-        iters += 1
-    # pick the best of the bracketing points and both interval endpoints
-    candidates = [(f(lo), lo), (f1, x1), (f2, x2), (f(hi), hi)]
-    best_val, best_q = min(candidates, key=lambda t: (t[0], t[1]))
-    return MinimizationReport(optimum_value=best_val, optimum_point=(best_q,),
-                              iterations=iters, final_box_size=hi - lo,
-                              converged=hi - lo <= tol)
+    steps = 0
+    while steps < _MAX_STEPS and np.max(hi - lo, initial=0.0) > tol:
+        left = f1 <= f2  # the minimum lies in [lo, x2]
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x_new = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        f_new = f(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+        steps += 1
+    cands = (lo0, lo, x1, x2, hi, hi0)  # ascending, so argmin breaks ties to the smaller
+    vals = np.stack([f(c) for c in cands])
+    best = np.argmin(vals, axis=0)
+    points = np.choose(best, np.broadcast_arrays(*cands))
+    values = np.take_along_axis(vals, best[None], axis=0)[0]
+    return points, values, steps, hi - lo
+
+
+def _interval_search(j: Spin, ps: np.ndarray, tol: float):
+    """Batch minimization of KL(p || q) over q in [0, 2j/(2j+1)] for every p in `ps`."""
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
+        raise ValueError(f"p must lie in [0, 1], got {ps}")
+    lo = np.zeros_like(ps)
+    hi = np.full_like(ps, separability_threshold(j))
+    return _golden_section(lambda q: _kl((ps, 1.0 - ps), (q, 1.0 - q)), lo, hi, tol)
+
+
+def minimize_kl_over_interval(j: Spin, p: float,
+                              tol: float = _INTERVAL_TOL) -> MinimizationReport:
+    """Golden-section minimization of KL(p || q) over q in [0, 2j/(2j+1)]."""
+    q, val, steps, width = _interval_search(j, np.array([float(p)]), tol)
+    return MinimizationReport(optimum_value=float(val[0]), optimum_point=(float(q[0]),),
+                              iterations=steps, final_box_size=float(width[0]),
+                              converged=bool(width[0] <= tol))
 
 
 def _normalized_polygon(N: int, polygon) -> np.ndarray:
@@ -119,126 +147,62 @@ def _inside_mask(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return mask
 
 
-def _kl3_vec(p, qx, qy):
-    qz = 1.0 - qx - qy
-    val = np.zeros_like(qx)
-    for pi, q in ((p[0], qx), (p[1], qy), (p[2], qz)):
-        if pi > 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.where(q > 0.0, pi * np.log(pi / np.where(q > 0.0, q, 1.0)), np.inf)
-            val = val + term
-    return val
+def _polygon_search(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float):
+    """Batch minimization of KL(rho || sigma) over sigma in a convex polygon.
 
+    A feasible state is its own minimizer (value 0, no search); for the
+    rest the minimum lies on the boundary and is the best of one
+    golden-section search per edge, all edges of all states in lockstep.
+    Returns (x*, y*, values, steps per state, final widths).
+    """
+    xs_opt, ys_opt = xs.copy(), ys.copy()
+    vals = np.zeros_like(xs)
+    steps = np.zeros(len(xs), dtype=int)
+    widths = np.zeros_like(xs)
+    out = ~_inside_mask(poly, xs, ys)
+    if out.any():
+        p = tuple(c[out, None] for c in (xs, ys, 1.0 - xs - ys))  # (states, 1) per outcome
+        v0, v1 = poly, np.roll(poly, -1, axis=0)                   # edge v0 -> v1, (edges, 2)
 
-def _lex_argmin(vals, xs, ys):
-    """Index of the minimum value; ties broken by lexicographic (x, y)."""
-    m = np.min(vals)
-    ties = np.flatnonzero(vals == m)
-    if len(ties) == 1:
-        return ties[0]
-    order = np.lexsort((ys[ties], xs[ties]))
-    return ties[order[0]]
+        def along(s):
+            return (1.0 - s) * v0[:, 0] + s * v1[:, 0], (1.0 - s) * v0[:, 1] + s * v1[:, 1]
+
+        def f(s):
+            qx, qy = along(s)
+            return _kl(p, (qx, qy, 1.0 - qx - qy))
+
+        shape = (int(out.sum()), len(poly))
+        s, edge_vals, n_steps, edge_widths = _golden_section(
+            f, np.zeros(shape), np.ones(shape), tol)
+        best = np.argmin(edge_vals, axis=1)
+        rows = np.arange(shape[0])
+        qx, qy = along(s)
+        xs_opt[out], ys_opt[out] = qx[rows, best], qy[rows, best]
+        vals[out] = edge_vals[rows, best]
+        steps[out] = n_steps
+        widths[out] = edge_widths.max(axis=1)
+    return xs_opt, ys_opt, vals, steps, widths
 
 
 def minimize_kl_over_polygon(N: int, coords: NormalizedCoords, polygon=None,
-                             grid: int = DEFAULT_GRID,
-                             refine_iters: int = DEFAULT_REFINE_ITERS,
-                             tol: float = 1e-9) -> MinimizationReport:
-    """Two-stage grid search for min KL(rho || sigma) over a convex polygon.
+                             tol: float = _POLYGON_TOL) -> MinimizationReport:
+    """Minimize KL(rho || sigma) over sigma in a convex polygon.
 
     `polygon` is a counterclockwise list of raw Point2 vertices (default:
-    the PPT polygon ADA'E); the search runs in barycentric coordinates.
+    the PPT polygon ADA'E); the search runs in barycentric coordinates and
+    `tol` bounds the final bracket in each edge's parameter s in [0, 1].
     """
     if polygon is None:
         polygon = ppt_polygon(N)
     poly = _normalized_polygon(N, polygon)
     if len(poly) < 3:
         raise ValueError("degenerate polygon")
-    p = (coords.ahat_lo, coords.ahat_mid, coords.ahat_hi)
-
-    # stage 1: coarse grid over the bounding box, plus the polygon
-    # vertices and (when feasible) the state itself
-    lo = poly.min(axis=0)
-    hi = poly.max(axis=0)
-    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], grid),
-                         np.linspace(lo[1], hi[1], grid))
-    xs = np.concatenate([gx.ravel(), poly[:, 0], [p[0]]])
-    ys = np.concatenate([gy.ravel(), poly[:, 1], [p[1]]])
-    keep = _inside_mask(poly, xs, ys)
-    xs, ys = xs[keep], ys[keep]
-    if len(xs) == 0:
-        raise ValueError("no feasible grid point inside the polygon")
-    vals = _kl3_vec(p, xs, ys)
-    best = _lex_argmin(vals, xs, ys)
-    bx, by, bval = xs[best], ys[best], vals[best]
-
-    # stage 2: shrinking-box refinement around the incumbent.  The box
-    # re-centers without shrinking while the minimum keeps landing on
-    # its rim (tracking a constrained optimum along a polygon edge) and
-    # halves only on interior hits; refine_iters counts the halvings.
-    extent = max(hi[0] - lo[0], hi[1] - lo[1])
-    half = 8.0 * extent / grid
-    half_max = extent
-    offsets = np.linspace(-1.0, 1.0, 19)
-    shrinks = 0
-    passes = 0
-    boundary_streak = 0
-    while shrinks < refine_iters and passes < 40 * refine_iters:
-        passes += 1
-        rx, ry = np.meshgrid(bx + half * offsets, by + half * offsets)
-        rx, ry = rx.ravel(), ry.ravel()
-        keep = _inside_mask(poly, rx, ry)
-        rx, ry = rx[keep], ry[keep]
-        moved = False
-        if len(rx):
-            vals = _kl3_vec(p, rx, ry)
-            i = _lex_argmin(vals, rx, ry)
-            if vals[i] < bval or (vals[i] == bval and (rx[i], ry[i]) < (bx, by)):
-                moved = max(abs(rx[i] - bx), abs(ry[i] - by)) >= half * (1.0 - 1e-9)
-                bx, by, bval = rx[i], ry[i], vals[i]
-        if moved:
-            boundary_streak += 1
-            if boundary_streak >= 2:
-                half = min(2.0 * half, half_max)
-        else:
-            boundary_streak = 0
-            half *= 0.5
-            shrinks += 1
-    box = 2.0 * half
-    iters = passes
-
-    # stage 3: by convexity the constrained optimum is either the state
-    # itself or on the polygon boundary, so a golden-section pass along
-    # each edge pins boundary optima to coordinate tolerance.
-    for i in range(len(poly)):
-        v0, v1 = poly[i], poly[(i + 1) % len(poly)]
-        f = lambda s: float(_kl3_vec(p, np.array([(1 - s) * v0[0] + s * v1[0]]),
-                                     np.array([(1 - s) * v0[1] + s * v1[1]]))[0])
-        slo, shi = 0.0, 1.0
-        s1 = shi - _INVPHI * (shi - slo)
-        s2 = slo + _INVPHI * (shi - slo)
-        f1, f2 = f(s1), f(s2)
-        while shi - slo > tol:
-            if f1 <= f2:
-                shi, s2, f2 = s2, s1, f1
-                s1 = shi - _INVPHI * (shi - slo)
-                f1 = f(s1)
-            else:
-                slo, s1, f1 = s1, s2, f2
-                s2 = slo + _INVPHI * (shi - slo)
-                f2 = f(s2)
-        for sc in (0.0, slo, s1, s2, shi, 1.0):
-            cx = (1 - sc) * v0[0] + sc * v1[0]
-            cy = (1 - sc) * v0[1] + sc * v1[1]
-            cv = f(sc)
-            if cv < bval or (cv == bval and (cx, cy) < (bx, by)):
-                bx, by, bval = cx, cy, cv
-
-    if not math.isfinite(bval):
-        return MinimizationReport(optimum_value=math.inf, optimum_point=(bx, by),
-                                  iterations=iters, final_box_size=box, converged=False)
-    return MinimizationReport(optimum_value=float(bval), optimum_point=(float(bx), float(by)),
-                              iterations=iters, final_box_size=box, converged=box <= tol)
+    x, y, val, steps, width = _polygon_search(
+        poly, np.array([coords.ahat_lo]), np.array([coords.ahat_mid]), tol)
+    return MinimizationReport(optimum_value=float(val[0]),
+                              optimum_point=(float(x[0]), float(y[0])),
+                              iterations=int(steps[0]), final_box_size=float(width[0]),
+                              converged=bool(width[0] <= tol))
 
 
 def ppt_min_eigenvalue(state: RIState) -> float:
@@ -247,34 +211,23 @@ def ppt_min_eigenvalue(state: RIState) -> float:
     return float(np.linalg.eigvalsh(image.mat)[0])
 
 
-def _sample_simplex(rng: np.random.Generator):
-    """Uniform barycentric sample via sorted uniform spacings."""
-    u = np.sort(rng.random(2))
-    return NormalizedCoords(u[0], u[1] - u[0])
-
-
-def verify_closed_form(family: str, param, samples: int, seed: int, tol: float,
-                       grid: int = DEFAULT_GRID,
-                       refine_iters: int = DEFAULT_REFINE_ITERS) -> VerificationSummary:
+def verify_closed_form(family: str, param, samples: int, seed: int,
+                       tol: float) -> VerificationSummary:
     """Compare the closed form against the oracle on seeded uniform samples.
 
     Families: "2xN" (param = j), "3x3", "3xN-odd", "3xN-even" (param = N).
+    The oracle runs on all samples as one batch; 3(x)N samples are uniform
+    on the simplex via sorted uniform spacings.
     """
     rng = np.random.default_rng(seed)
-    max_diff = -1.0
-    worst = ()
 
     if family == "2xN":
         j = param if isinstance(param, Spin) else Spin.of(param)
-        jval = j.j
-        for _ in range(samples):
-            p = float(rng.random())
-            closed = ree_2xn(j, p).value
-            orac = minimize_kl_over_interval(j, p).optimum_value
-            diff = abs(closed - orac)
-            if diff > max_diff:
-                max_diff, worst = diff, (p,)
-        param_out = jval
+        ps = rng.random(samples)
+        closed = np.array([ree_2xn(j, float(p)).value for p in ps])
+        orac = _interval_search(j, ps, _INTERVAL_TOL)[1]
+        inputs = (ps,)
+        param_out = j.j
     elif family in ("3x3", "3xN-odd", "3xN-even"):
         N = 3 if family == "3x3" else int(param)
         if family == "3x3" and param not in (None, 3):
@@ -286,19 +239,22 @@ def verify_closed_form(family: str, param, samples: int, seed: int, tol: float,
         closed_fn = {"3x3": lambda c: ree_3x3(c),
                      "3xN-odd": lambda c: ree_3xn_odd(N, c),
                      "3xN-even": lambda c: e_gamma_3xn_even(N, c)}[family]
-        polygon = ppt_polygon(N)
-        for _ in range(samples):
-            coords = _sample_simplex(rng)
-            closed = closed_fn(coords).value
-            orac = minimize_kl_over_polygon(N, coords, polygon,
-                                            grid=grid, refine_iters=refine_iters).optimum_value
-            diff = abs(closed - orac)
-            if diff > max_diff:
-                max_diff, worst = diff, (coords.ahat_lo, coords.ahat_mid)
+        u = np.sort(rng.random((samples, 2)), axis=1)
+        xs, ys = u[:, 0], u[:, 1] - u[:, 0]
+        closed = np.array([closed_fn(NormalizedCoords(x, y)).value for x, y in zip(xs, ys)])
+        poly = _normalized_polygon(N, ppt_polygon(N))
+        orac = _polygon_search(poly, xs, ys, _POLYGON_TOL)[2]
+        inputs = (xs, ys)
         param_out = N
     else:
         raise ValueError(f"unknown family {family!r}")
 
+    with np.errstate(invalid="ignore"):  # equal infinities differ by 0, not nan
+        diffs = np.where(closed == orac, 0.0, np.abs(closed - orac))
+    max_diff, worst = -1.0, ()
+    if samples:
+        k = int(np.argmax(diffs))  # the first sample on ties
+        max_diff, worst = float(diffs[k]), tuple(float(c[k]) for c in inputs)
     return VerificationSummary(family=family, param=float(param_out), samples=samples,
                                seed=seed, tol=tol, max_abs_diff=max_diff,
                                worst_input=worst, passed=max_diff <= tol)

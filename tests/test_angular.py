@@ -154,6 +154,18 @@ class TestProjector:
         with pytest.raises(ValueError):
             projector(Spin(1), Spin(1), Spin(3))
 
+    @pytest.mark.parametrize("tj1, tj2", [(1, 3), (2, 2), (2, 5)])
+    def test_cached_read_only_sum_of_coupled_vectors(self, tj1, tj2):
+        j1, j2 = Spin(tj1), Spin(tj2)
+        for J in coupling_range(j1, j2):
+            P = projector(j1, j2, J)
+            vecs = [coupled_basis_vector(j1, j2, J, Fraction(tM, 2))
+                    for tM in J.twice_m_values()]
+            assert not P.mat.flags.writeable
+            assert P.dims == (j1.dim, j2.dim)
+            np.testing.assert_array_equal(P.mat, sum(np.outer(v, v) for v in vecs))
+            assert projector(j1, j2, J) is P
+
 
 class TestRotationYPi:
     def test_half_spin_matrix(self):

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +204,17 @@ class TestVerify:
         assert rec["result"]["max_abs_diff"] > 0.0
         assert rec["result"]["worst_input"]
 
+    def test_grid_and_iters_accepted_hidden_and_ignored(self, capsys):
+        argv = ["verify", "--family", "3xN-even", "--param", "4", "--samples", "20",
+                "--seed", "3", "--tol", "1e-6"]
+        code, plain, _ = run(capsys, *argv)
+        code_old, legacy, _ = run(capsys, *argv, "--grid", "50", "--iters", "5")
+        assert code == code_old == EXIT_OK
+        assert legacy == plain
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "--grid" not in capsys.readouterr().out
+
     def test_malformed_param(self, capsys):
         code, _, _ = run(capsys, "verify", "--family", "3xN-odd", "--param", "6",
                          "--samples", "5", "--seed", "0", "--tol", "1e-6")
@@ -216,7 +230,35 @@ class TestSerialization:
         assert rec["w"] == "inf" and rec["x"] == "-inf"
         assert rec["n"] is None
 
-    def test_threads_env_is_plumbable(self):
-        # the env var is read at import time; check that it is documented
-        # behavior rather than crashing on odd values
-        assert os.environ.get("RI_ENTROPY_THREADS", "") is not None
+
+
+# Prints OPENBLAS_NUM_THREADS as it stands at the moment numpy's import begins.
+_THREADS_PROBE = """
+import os, sys
+
+class Probe:
+    seen = "numpy not imported"
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Probe.seen == "numpy not imported":
+            Probe.seen = repr(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import ri_entropy
+print(Probe.seen)
+"""
+
+
+def test_threads_env_caps_blas_before_numpy_loads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for value, seen in (("1", "'1'"), ("0", "None")):
+        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE],
+                              env={**env, "RI_ENTROPY_THREADS": value},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == seen, value

@@ -9,6 +9,9 @@ from ri_entropy.angular import Spin
 from ri_entropy.closed_form import ree_2xn, ree_3xn_odd, state_2xn
 from ri_entropy.geometry import ppt_polygon, simplex_vertices
 from ri_entropy.oracle import (
+    _interval_search,
+    _normalized_polygon,
+    _polygon_search,
     minimize_kl_over_interval,
     minimize_kl_over_polygon,
     ppt_min_eigenvalue,
@@ -19,7 +22,15 @@ from ri_entropy.states import (
     make_ri_state,
     maximally_mixed,
     normalized_to_raw,
+    quantum_relative_entropy,
+    to_density,
 )
+
+
+def simplex_points(n: int, seed: int):
+    """n seeded uniform barycentric points (x, y) by sorted uniform spacings."""
+    u = np.sort(np.random.default_rng(seed).random((n, 2)), axis=1)
+    return u[:, 0], u[:, 1] - u[:, 0]
 
 
 class TestIntervalOracle:
@@ -42,6 +53,27 @@ class TestIntervalOracle:
         report = minimize_kl_over_interval(Spin(1), 0.8, tol=1e-10)
         assert report.converged and report.final_box_size <= 1e-10
 
+    def test_unreachable_tol_stops_unconverged(self):
+        # rounding stalls the bracket far above 1e-300; the search must still end
+        report = minimize_kl_over_interval(Spin(1), 0.8, tol=1e-300)
+        assert not report.converged and report.final_box_size > 1e-300
+        assert report.optimum_value == pytest.approx(ree_2xn(Spin(1), 0.8).value, abs=1e-15)
+
+    def test_rejects_non_positive_tol(self):
+        with pytest.raises(ValueError):
+            minimize_kl_over_interval(Spin(1), 0.8, tol=0.0)
+
+    def test_batch_equals_scalar_calls(self):
+        j = Spin(3)
+        ps = np.random.default_rng(5).random(40)
+        q, vals, steps, widths = _interval_search(j, ps, 1e-10)
+        for k, p in enumerate(ps):
+            report = minimize_kl_over_interval(j, float(p))
+            assert report.optimum_value == vals[k]
+            assert report.optimum_point == (q[k],)
+            assert report.final_box_size == widths[k]
+            assert report.iterations == steps
+
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             minimize_kl_over_interval(Spin(1), -0.5)
@@ -51,8 +83,30 @@ class TestPolygonOracle:
     def test_interior_state_gives_zero(self):
         coords = NormalizedCoords(0.1, 0.1)
         report = minimize_kl_over_polygon(5, coords)
-        assert report.optimum_value == pytest.approx(0.0, abs=1e-12)
-        assert report.optimum_point == pytest.approx((0.1, 0.1), abs=1e-6)
+        assert report.optimum_value == 0.0
+        assert report.optimum_point == (0.1, 0.1)
+        assert report.iterations == 0 and report.converged
+
+    @pytest.mark.parametrize("N", [3, 4, 7])
+    def test_converged_implies_small_box(self, N):
+        xs, ys = simplex_points(30, seed=40 + N)
+        for tol in (1e-6, 1e-9, 1e-12):
+            for x, y in zip(xs, ys):
+                report = minimize_kl_over_polygon(N, NormalizedCoords(x, y), tol=tol)
+                assert report.converged and report.final_box_size <= tol
+
+    @pytest.mark.parametrize("N", [3, 6, 9])
+    def test_batch_equals_scalar_calls(self, N):
+        xs, ys = simplex_points(40, seed=70 + N)
+        poly = _normalized_polygon(N, ppt_polygon(N))
+        bx, by, vals, steps, widths = _polygon_search(poly, xs, ys, 1e-9)
+        assert (vals == 0.0).any() and (vals > 0.0).any()  # both branches taken
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            report = minimize_kl_over_polygon(N, NormalizedCoords(x, y))
+            assert report.optimum_value == vals[k]
+            assert report.optimum_point == (bx[k], by[k])
+            assert report.iterations == steps[k]
+            assert report.final_box_size == widths[k]
 
     def test_vertex_c_n3(self):
         report = minimize_kl_over_polygon(3, NormalizedCoords(0.0, 1.0))
@@ -108,6 +162,30 @@ class TestVerifyClosedForm:
                                          tol=1e-6)
             assert summary.passed, (family, summary.max_abs_diff)
 
+    def test_2xn_worst_input_is_argmax_over_seeded_stream(self):
+        j, seed, samples = Spin(2), 11, 60
+        ps = np.random.default_rng(seed).random(samples)
+        diffs = [abs(ree_2xn(j, float(p)).value
+                     - minimize_kl_over_interval(j, float(p)).optimum_value) for p in ps]
+        summary = verify_closed_form("2xN", 1.0, samples=samples, seed=seed, tol=1e-6)
+        assert summary.worst_input == (ps[int(np.argmax(diffs))],)
+        assert summary.max_abs_diff == max(diffs)
+
+    def test_3xn_worst_input_is_argmax_over_seeded_stream(self):
+        N, seed, samples = 5, 12, 30
+        xs, ys = simplex_points(samples, seed)
+        diffs = [abs(ree_3xn_odd(N, NormalizedCoords(x, y)).value
+                     - minimize_kl_over_polygon(N, NormalizedCoords(x, y)).optimum_value)
+                 for x, y in zip(xs, ys)]
+        summary = verify_closed_form("3xN-odd", N, samples=samples, seed=seed, tol=1e-6)
+        k = int(np.argmax(diffs))
+        assert summary.worst_input == (xs[k], ys[k])
+        assert summary.max_abs_diff == max(diffs)
+
+    def test_no_samples(self):
+        summary = verify_closed_form("3x3", 3, samples=0, seed=0, tol=1e-6)
+        assert summary.passed and summary.worst_input == ()
+
     def test_deterministic(self):
         a = verify_closed_form("3x3", 3, samples=25, seed=42, tol=1e-6)
         b = verify_closed_form("3x3", 3, samples=25, seed=42, tol=1e-6)
@@ -127,3 +205,34 @@ class TestVerifyClosedForm:
             verify_closed_form("3xN-odd", 6, samples=5, seed=0, tol=1e-6)
         with pytest.raises(ValueError):
             verify_closed_form("3xN-even", 7, samples=5, seed=0, tol=1e-6)
+
+
+class TestIndependentRoute:
+    """The oracle optimum is a dense relative entropy to a PPT state.
+
+    The value is recomputed without the discrete KL: from the dense
+    matrices of rho and of the oracle's point sigma*, whose feasibility is
+    checked by the smallest eigenvalue of its partial time-reversal.
+    """
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7])
+    def test_3xn(self, N):
+        xs, ys = simplex_points(24, seed=300 + N)
+        for x, y in zip(xs, ys):
+            report = minimize_kl_over_polygon(N, NormalizedCoords(x, y))
+            rho = normalized_to_raw(N, NormalizedCoords(x, y))
+            sigma = normalized_to_raw(N, NormalizedCoords(*report.optimum_point))
+            dense = quantum_relative_entropy(to_density(rho), to_density(sigma))
+            assert abs(report.optimum_value - dense) <= 1e-9
+            assert ppt_min_eigenvalue(sigma) >= -1e-10
+
+    @pytest.mark.parametrize("tj", [1, 2, 3, 4])
+    def test_2xn(self, tj):
+        j = Spin(tj)
+        for p in np.random.default_rng(400 + tj).random(24):
+            report = minimize_kl_over_interval(j, float(p))
+            sigma = state_2xn(j, report.optimum_point[0])
+            dense = quantum_relative_entropy(to_density(state_2xn(j, float(p))),
+                                             to_density(sigma))
+            assert abs(report.optimum_value - dense) <= 1e-9
+            assert ppt_min_eigenvalue(sigma) >= -1e-10
