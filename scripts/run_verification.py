@@ -13,11 +13,7 @@ import argparse
 import sys
 import time
 
-from ri_entropy.oracle import verify_closed_form
-
-CAMPAIGNS = [("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),
-             ("3x3", 3), ("3xN-odd", 5), ("3xN-odd", 7),
-             ("3xN-even", 4), ("3xN-even", 6)]
+from ri_entropy.oracle import CAMPAIGNS, verify_closed_form
 
 
 def main() -> int:

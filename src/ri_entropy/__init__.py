@@ -1,16 +1,6 @@
 """Relative entropy of entanglement for rotationally invariant spin states."""
 
-import os as _os
-
-# RI_ENTROPY_THREADS caps the thread pools of the numerical backends;
-# it must be applied before numpy is first imported (0 / unset = auto).
-_threads = _os.environ.get("RI_ENTROPY_THREADS", "")
-if _threads and _threads != "0":
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from .angular import (  # noqa: E402
+from .angular import (
     DenseOperator,
     Spin,
     clebsch_gordan,
@@ -19,7 +9,7 @@ from .angular import (  # noqa: E402
     projector,
     rotation_y_pi,
 )
-from .states import (  # noqa: E402
+from .states import (
     AlphaVector,
     NormalizedCoords,
     RIState,
@@ -32,7 +22,7 @@ from .states import (  # noqa: E402
     to_density,
     twirl,
 )
-from .geometry import (  # noqa: E402
+from .geometry import (
     Point2,
     Region,
     classify_region,
@@ -42,7 +32,7 @@ from .geometry import (  # noqa: E402
     ppt_polygon,
     simplex_vertices,
 )
-from .closed_form import (  # noqa: E402
+from .closed_form import (
     REEResult,
     UnsupportedFamilyError,
     e_gamma_3xn_even,
@@ -52,7 +42,7 @@ from .closed_form import (  # noqa: E402
     ree_dispatch,
     state_2xn,
 )
-from .oracle import (  # noqa: E402
+from .oracle import (
     MinimizationReport,
     minimize_kl_over_interval,
     minimize_kl_over_polygon,

@@ -45,10 +45,13 @@ class Spin:
 
     @classmethod
     def of(cls, j) -> "Spin":
-        """Build a Spin from a float/Fraction j that must be an exact half-integer."""
-        tj = Fraction(j) * 2
+        """Spin of j, a number or text such as '3/2' or '1.5'; j must be a half-integer."""
+        try:
+            tj = Fraction(j) * 2
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse spin {j!r}") from exc
         if tj.denominator != 1:
-            raise ValueError(f"{j!r} is not a half-integer spin")
+            raise ValueError(f"spin {j!r} is not an exact half-integer")
         return cls(int(tj))
 
     @property
@@ -208,10 +211,10 @@ def partial_time_reversal(op: DenseOperator) -> DenseOperator:
     if op.dims is None:
         raise ValueError("partial_time_reversal needs an operator with factor dims")
     n1, n2 = op.dims
-    V = rotation_y_pi(Spin(n2 - 1)).mat
-    # transpose on the second factor, then conjugate by I (x) V
-    pt = (op.mat.reshape(n1, n2, n1, n2)
-          .transpose(0, 3, 2, 1)
-          .reshape(n1 * n2, n1 * n2))
-    IV = np.kron(np.eye(n1), V)
-    return DenseOperator(IV @ pt @ IV.conj().T, dims=op.dims)
+    # V = rotation_y_pi is anti-diagonal with V[-1-k, k] = (-1)^k, so
+    # (V B^T V+)[r, c] = (-1)^(r+c) B[-1-c, -1-r]: transpose and reverse the
+    # second factor's indices, then apply the signs
+    sign = (-1.0) ** np.arange(n2)
+    blocks = op.mat.reshape(n1, n2, n1, n2)[:, ::-1, :, ::-1].transpose(0, 3, 2, 1)
+    out = blocks * np.multiply.outer(sign, sign)[None, :, None, :]
+    return DenseOperator(out.reshape(n1 * n2, n1 * n2), dims=op.dims)

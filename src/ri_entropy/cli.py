@@ -17,13 +17,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .angular import Spin
 from .closed_form import (
     REEResult,
     UnsupportedFamilyError,
     p_of_state,
+    ree_2xn,
     ree_dispatch,
     state_2xn,
 )
@@ -39,7 +39,13 @@ from .oracle import (
     minimize_kl_over_polygon,
     verify_closed_form,
 )
-from .states import make_ri_state, raw_to_normalized
+from .states import (
+    NormalizedCoords,
+    block_weights,
+    make_ri_state,
+    normalized_to_raw,
+    raw_to_normalized,
+)
 
 SCHEMA_VERSION = "ri-entropy/1"
 
@@ -48,17 +54,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 EXIT_IO = 4
-
-
-def parse_spin(text: str) -> Spin:
-    """Accept spins as 'n/2' fractions or decimals with exact halves."""
-    try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse spin {text!r}") from exc
-    if (2 * frac).denominator != 1:
-        raise ValueError(f"spin {text!r} is not an exact half-integer")
-    return Spin(int(2 * frac))
 
 
 def format_spin(j: Spin) -> str:
@@ -131,7 +126,7 @@ def _result_payload(res: REEResult) -> dict:
 
 
 def cmd_ree(args) -> int:
-    j1, j2 = parse_spin(args.j1), parse_spin(args.j2)
+    j1, j2 = Spin.of(args.j1), Spin.of(args.j2)
     given = [opt for opt in (args.p, args.alpha, args.normalized) if opt is not None]
     if len(given) != 1:
         raise ValueError("provide exactly one of --p, --alpha, --normalized")
@@ -141,15 +136,13 @@ def cmd_ree(args) -> int:
             raise ValueError("--p applies to the 2(x)N family (j1 = 1/2) only")
         state = state_2xn(j2, float(args.p))
     elif args.alpha is not None:
-        state = make_ri_state(j1, j2, _floats(args.alpha, _n_alphas(j1, j2), "--alpha"))
+        state = make_ri_state(j1, j2,
+                              _floats(args.alpha, len(block_weights(j1, j2)), "--alpha"))
     else:
         if j1.twice_j != 2:
             raise ValueError("--normalized applies to 3(x)N systems (j1 = 1) only")
-        from .states import NormalizedCoords, normalized_to_raw
         x, y = _floats(args.normalized, 2, "--normalized")
         state = normalized_to_raw(j2.dim, NormalizedCoords(x, y))
-        if j2 != state.j2:
-            raise ValueError("inconsistent j2")
 
     command = {"name": "ree", "j1": format_spin(j1), "j2": format_spin(j2),
                "p": args.p, "alpha": args.alpha, "normalized": args.normalized,
@@ -175,11 +168,6 @@ def cmd_ree(args) -> int:
 
     _emit(_record(command, result), args.format)
     return EXIT_OK
-
-
-def _n_alphas(j1: Spin, j2: Spin) -> int:
-    lo, hi = sorted((j1.twice_j, j2.twice_j))
-    return lo + 1
 
 
 def _oracle_report(state):
@@ -222,10 +210,9 @@ def _emit_text(obj, indent: str, key: str | None = None):
 def cmd_curve(args) -> int:
     if args.family != "2xN":
         raise ValueError("only --family 2xN emits curves")
-    js = [parse_spin(tok) for tok in args.j_list.split(",")]
+    js = [Spin.of(tok) for tok in args.j_list.split(",")]
     if args.points < 2:
         raise ValueError("--points must be at least 2")
-    from .closed_form import ree_2xn
     try:
         out = open(args.out, "w", newline="")
     except OSError as exc:
@@ -275,7 +262,7 @@ def cmd_geometry(args) -> int:
 
 def cmd_verify(args) -> int:
     family = args.family
-    param = parse_spin(args.param).j if family == "2xN" else int(args.param)
+    param = Spin.of(args.param).j if family == "2xN" else int(args.param)
     summary = verify_closed_form(family, param, samples=args.samples, seed=args.seed,
                                  tol=args.tol)
     command = {"name": "verify", "family": family, "param": args.param,

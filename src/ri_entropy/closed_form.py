@@ -34,6 +34,8 @@ from .states import (
     AlphaVector,
     NormalizedCoords,
     RIState,
+    _discrete_kl,
+    _prefactors,
     block_weights,
     make_ri_state,
     normalized_to_raw,
@@ -88,17 +90,6 @@ def _xlogy(p: float, arg: float) -> float:
     if p == 0.0:
         return 0.0
     return p * math.log(arg)
-
-
-def _kl3(p, q) -> float:
-    """Three-outcome KL divergence with the usual conventions."""
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 0.0:
-            if qi <= 0.0:
-                return math.inf
-            total += pi * math.log(pi / qi)
-    return max(total, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +169,14 @@ def _pick_root(lo_root: float, hi_root: float, to_s, region_name: str) -> float:
         f"(s candidates {s}, {s_other})")
 
 
-def _sigma_for_region(N: int, x: float, y: float, region: Region):
-    """Minimizing barycentric point for a state (x, y) assumed in `region`.
+def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
+    """Closed form for a state evaluated under the formula of `region`.
 
-    Returns (sigma, aux).  Exposed separately so boundary points can be
-    evaluated under both adjacent region formulas (continuity tests).
+    Returns (value, sigma, aux) with sigma the minimizing barycentric
+    point.  The region is a parameter so that boundary points can be
+    evaluated under both adjacent formulas (continuity tests).
     """
+    x, y = coords.ahat_lo, coords.ahat_mid
     ch = normalized_chart(N)
     aux = None
 
@@ -228,30 +221,22 @@ def _sigma_for_region(N: int, x: float, y: float, region: Region):
         aux = RootInfo("b", b, t2, _raw_point(N, sigma))
     else:  # pragma: no cover
         raise ValueError(f"region {region} is not defined for N = {N}")
-    return sigma, aux
-
-
-def _value_in_region(N: int, coords: NormalizedCoords, region: Region) -> float:
-    """Closed-form value for a state evaluated under a chosen region formula."""
-    x, y = coords.ahat_lo, coords.ahat_mid
-    sigma, _ = _sigma_for_region(N, x, y, region)
-    return _kl3((x, y, coords.ahat_hi),
-                (sigma[0], sigma[1], 1.0 - sigma[0] - sigma[1]))
+    value = _discrete_kl((x, y, coords.ahat_hi),
+                         (sigma[0], sigma[1], 1.0 - sigma[0] - sigma[1]))
+    return value, sigma, aux
 
 
 def _ree_3xn(N: int, coords: NormalizedCoords, quantity: str) -> REEResult:
     region = classify_region(N, coords)
-    x, y = coords.ahat_lo, coords.ahat_mid
-    sigma, aux = _sigma_for_region(N, x, y, region)
-    value = _kl3((x, y, coords.ahat_hi),
-                 (sigma[0], sigma[1], 1.0 - sigma[0] - sigma[1]))
+    value, sigma, aux = _value_in_region(N, coords, region)
     minimizer = normalized_to_raw(N, NormalizedCoords(*sigma)).coeffs
     return REEResult(value=value, region=region, minimizer=minimizer,
                      quantity=quantity, aux=aux)
 
 
 def _raw_point(N: int, sigma) -> Point2:
-    return Point2(sigma[0] * math.sqrt(3 * N / (N - 2)), sigma[1] * math.sqrt(3.0))
+    pre = _prefactors(N)
+    return Point2(sigma[0] * pre[0], sigma[1] * pre[1])
 
 
 def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:

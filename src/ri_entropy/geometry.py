@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import NormalizedCoords
+from .states import NormalizedCoords, _prefactors
 
 __all__ = [
     "Point2",
@@ -66,9 +66,7 @@ def _check_n(N: int, minimum: int = 3):
 def simplex_vertices(N: int):
     """Raw alpha-vectors of the simplex vertices A, B, C."""
     _check_n(N)
-    A = np.array([0.0, 0.0, math.sqrt(3 * N / (N + 2))])
-    B = np.array([math.sqrt(3 * N / (N - 2)), 0.0, 0.0])
-    C = np.array([0.0, math.sqrt(3.0), 0.0])
+    B, C, A = np.diag(_prefactors(N))  # each vertex has one nonzero alpha
     return A, B, C
 
 
@@ -197,8 +195,6 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     """
     _check_n(N)
     pt = Point2(coords.ahat_lo, coords.ahat_mid)
-    if pt.x < -SNAP_TOL or pt.y < -SNAP_TOL or pt.x + pt.y > 1.0 + SNAP_TOL:
-        raise ValueError(f"point {pt} lies outside the state simplex")
     regions = region_polygons(N)
     for region, poly in regions:
         if _in_convex_polygon(pt, poly):
@@ -222,6 +218,6 @@ def _shoelace(points) -> float:
 def polygon_area_ratio(N: int) -> float:
     """area(ADA'E) / area(ABC) in raw coordinates; tends to 1 as N grows."""
     _check_n(N)
-    A, B3, C3 = simplex_vertices(N)
-    triangle = [Point2(0.0, 0.0), Point2(B3[0], 0.0), Point2(0.0, C3[1])]
+    bx, by, _ = _prefactors(N)
+    triangle = [Point2(0.0, 0.0), Point2(bx, 0.0), Point2(0.0, by)]
     return _shoelace(ppt_polygon(N)) / _shoelace(triangle)

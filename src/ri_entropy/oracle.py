@@ -26,7 +26,7 @@ from .closed_form import (
     separability_threshold,
 )
 from .geometry import ppt_polygon
-from .states import NormalizedCoords, RIState, to_density
+from .states import NormalizedCoords, RIState, _prefactors, to_density
 
 __all__ = [
     "MinimizationReport",
@@ -35,12 +35,18 @@ __all__ = [
     "minimize_kl_over_polygon",
     "ppt_min_eigenvalue",
     "verify_closed_form",
+    "CAMPAIGNS",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_STEPS = 200  # 0.618**200 ~ 1e-42: reached only when rounding stalls a bracket above tol
 _INTERVAL_TOL = 1e-10
 _POLYGON_TOL = 1e-9
+
+# (family, param) of the closed-form-vs-oracle campaign over every family
+CAMPAIGNS = (("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),
+             ("3x3", 3), ("3xN-odd", 5), ("3xN-odd", 7),
+             ("3xN-even", 4), ("3xN-even", 6))
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,8 @@ def minimize_kl_over_interval(j: Spin, p: float,
 
 def _normalized_polygon(N: int, polygon) -> np.ndarray:
     """Raw Point2 polygon -> barycentric (n, 2) array."""
-    bx = math.sqrt(3 * N / (N - 2))
-    return np.array([(p.x / bx, p.y / math.sqrt(3.0)) for p in polygon])
+    bx, by, _ = _prefactors(N)
+    return np.array([(p.x / bx, p.y / by) for p in polygon])
 
 
 def _inside_mask(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray,

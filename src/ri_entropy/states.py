@@ -59,25 +59,26 @@ class AlphaVector:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
-        if self.j2 < self.j1:
-            raise ValueError("expected j2 >= j1")
         n_expected = len(coupling_range(self.j1, self.j2))
         if len(self.alphas) != n_expected:
             raise ValueError(
                 f"expected {n_expected} coefficients for ({self.j1}, {self.j2}), "
                 f"got {len(self.alphas)}")
-        vals = []
-        for a in self.alphas:
-            a = float(a)
+        vals = [float(a) for a in self.alphas]
+        clamped = [max(a, 0.0) for a in vals]
+        # normalization is judged first, on the clamped values, so that an
+        # input off by more than RENORM_TOL is reported as such
+        total = float(block_weights(self.j1, self.j2) @ np.asarray(clamped))
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValueError(f"coefficients not normalized: weighted sum = {total}")
+        if self.j2 < self.j1:
+            raise ValueError("expected j2 >= j1")
+        for a in vals:
             if not math.isfinite(a):
                 raise ValueError("non-finite coefficient")
             if a < -NEG_CLAMP:
                 raise ValueError(f"negative coefficient {a}")
-            vals.append(max(a, 0.0))
-        total = float(block_weights(self.j1, self.j2) @ np.asarray(vals))
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"coefficients not normalized: weighted sum = {total}")
-        object.__setattr__(self, "alphas", tuple(vals))
+        object.__setattr__(self, "alphas", tuple(clamped))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.alphas)
@@ -123,6 +124,11 @@ class NormalizedCoords:
             raise ValueError("non-finite coordinates")
         if lo < -NORM_TOL or mid < -NORM_TOL or lo + mid > 1.0 + NORM_TOL:
             raise ValueError(f"coordinates ({lo}, {mid}) outside the unit simplex")
+        # points within NORM_TOL outside the simplex are moved onto it
+        lo, mid = max(lo, 0.0), max(mid, 0.0)
+        if lo + mid > 1.0:
+            total = lo + mid
+            lo, mid = lo / total, mid / total
         object.__setattr__(self, "ahat_lo", lo)
         object.__setattr__(self, "ahat_mid", mid)
 
@@ -136,20 +142,14 @@ def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
 
     Small negatives (>= -1e-12) are clamped to zero and normalization
     deviations below 1e-8 are repaired; repairs are flagged on the result.
+    Every refusal is left to AlphaVector.
     """
     arr = np.asarray([float(a) for a in alphas])
     w = block_weights(j1, j2)
-    if len(arr) != len(w):
-        raise ValueError(f"expected {len(w)} coefficients, got {len(arr)}")
-    total = float(w @ np.clip(arr, 0.0, None))
-    renorm = False
-    if abs(total - 1.0) > NORM_TOL:
-        if abs(total - 1.0) < RENORM_TOL:
-            arr = arr / total
-            renorm = True
-        else:
-            raise ValueError(f"coefficients not normalized: weighted sum = {total}")
-    return RIState(AlphaVector(j1, j2, tuple(arr)), renormalized=renorm)
+    total = float(w @ np.clip(arr, 0.0, None)) if len(arr) == len(w) else 1.0
+    renorm = NORM_TOL < abs(total - 1.0) < RENORM_TOL
+    return RIState(AlphaVector(j1, j2, tuple(arr / total if renorm else arr)),
+                   renormalized=renorm)
 
 
 def maximally_mixed(j1: Spin, j2: Spin) -> RIState:
@@ -253,8 +253,10 @@ def _check_3xn(j1: Spin, j2: Spin):
         raise ValueError("expected j2 >= 1")
 
 
-def _prefactors(N: int) -> np.ndarray:
-    return np.array([math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2))])
+def _prefactors(N: int) -> tuple[float, float, float]:
+    """Raw alpha_{j-1}, alpha_j, alpha_{j+1} of the simplex vertices B, C, A of
+    a 3(x)N system: the factors from barycentric to raw coordinates."""
+    return math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2))
 
 
 def raw_to_normalized(state: RIState) -> NormalizedCoords:
@@ -270,6 +272,6 @@ def normalized_to_raw(N: int, coords: NormalizedCoords) -> RIState:
     """RI state of a 3(x)N system from its barycentric coordinates."""
     if N < 3:
         raise ValueError("need N >= 3")
-    pre = _prefactors(N)
-    raw = pre * np.array([coords.ahat_lo, coords.ahat_mid, coords.ahat_hi])
+    bary = (coords.ahat_lo, coords.ahat_mid, coords.ahat_hi)
+    raw = [p * c for p, c in zip(_prefactors(N), bary)]
     return make_ri_state(Spin(2), Spin(N - 1), raw)

@@ -219,17 +219,17 @@ class TestPartialTimeReversal:
             partial_time_reversal(DenseOperator(np.eye(4)))
 
     def test_sign_convention_of_v_is_irrelevant(self):
-        """Conjugating with -V instead of V gives the identical map."""
+        """Conjugating with V or -V gives exactly the map computed."""
         rng = np.random.default_rng(7)
-        m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        n1, n2 = 3, 3
-        V = rotation_y_pi(Spin(n2 - 1)).mat
-        pt = m.reshape(n1, n2, n1, n2).transpose(0, 3, 2, 1).reshape(9, 9)
-        for sign in (1.0, -1.0):
-            IV = np.kron(np.eye(n1), sign * V)
-            flipped = IV @ pt @ IV.conj().T
-            assert np.abs(flipped - partial_time_reversal(
-                DenseOperator(m, dims=(3, 3))).mat).max() < 1e-13
+        for n1, n2 in ((3, 3), (2, 2), (2, 5), (3, 4), (3, 11), (4, 3)):
+            dim = n1 * n2
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            V = rotation_y_pi(Spin(n2 - 1)).mat
+            pt = m.reshape(n1, n2, n1, n2).transpose(0, 3, 2, 1).reshape(dim, dim)
+            out = partial_time_reversal(DenseOperator(m, dims=(n1, n2))).mat
+            for sign in (1.0, -1.0):
+                IV = np.kron(np.eye(n1), sign * V)
+                assert np.array_equal(IV @ pt @ IV.conj().T, out), (n1, n2, sign)
 
 
 class TestDenseOperator:

@@ -1,15 +1,19 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
+import shlex
 from pathlib import Path
 
 import pytest
 
-from ri_entropy.cli import EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, EXIT_VERIFY_FAIL, main, parse_spin
+import ri_entropy.oracle
+from ri_entropy.angular import Spin
+from ri_entropy.cli import EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, EXIT_VERIFY_FAIL, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -20,15 +24,16 @@ def run(capsys, *argv):
 
 class TestSpinParsing:
     def test_fraction_and_decimal(self):
-        assert parse_spin("3/2").twice_j == 3
-        assert parse_spin("1.5").twice_j == 3
-        assert parse_spin("2").twice_j == 4
+        assert Spin.of("3/2").twice_j == 3
+        assert Spin.of("1.5").twice_j == 3
+        assert Spin.of("2").twice_j == 4
 
     def test_rejects_non_half_integers(self):
-        with pytest.raises(ValueError):
-            parse_spin("0.3")
-        with pytest.raises(ValueError):
-            parse_spin("abc")
+        with pytest.raises(ValueError, match="not an exact half-integer"):
+            Spin.of("0.3")
+        for text in ("abc", "1/0"):
+            with pytest.raises(ValueError, match="cannot parse spin"):
+                Spin.of(text)
 
 
 class TestRee:
@@ -115,6 +120,12 @@ class TestRee:
         code, _, _ = run(capsys, "ree", "--j1", "0.3", "--j2", "1", "--p", "0.5")
         assert code == EXIT_VALIDATION
 
+    def test_point_just_outside_the_simplex_is_clamped(self, capsys):
+        code, out, _ = run(capsys, "ree", "--j1", "1", "--j2", "2",
+                           "--normalized=-5e-11,0.5")
+        assert code == EXIT_OK
+        assert math.isfinite(json.loads(out)["result"]["value"])
+
     def test_unsupported_family_exit_code(self, capsys):
         code, _, err = run(capsys, "ree", "--j1", "3/2", "--j2", "3/2",
                            "--alpha", "4,0,0,0")
@@ -196,13 +207,17 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["result"]["passed"] is True
 
-    def test_zero_tolerance_fails(self, capsys):
+    def test_zero_tolerance_fails(self, capsys, monkeypatch):
+        exact = ri_entropy.oracle.ree_3x3
+        monkeypatch.setattr(ri_entropy.oracle, "ree_3x3", lambda c: dataclasses.replace(
+            exact(c), value=exact(c).value + 1e-3))
         code, out, _ = run(capsys, "verify", "--family", "3x3", "--param", "3",
                            "--samples", "10", "--seed", "0", "--tol", "0")
         rec = json.loads(out)
         assert code == EXIT_VERIFY_FAIL
-        assert rec["result"]["max_abs_diff"] > 0.0
-        assert rec["result"]["worst_input"]
+        assert rec["result"]["passed"] is False
+        assert rec["result"]["max_abs_diff"] == pytest.approx(1e-3, abs=1e-12)
+        assert len(rec["result"]["worst_input"]) == 2
 
     def test_grid_and_iters_accepted_hidden_and_ignored(self, capsys):
         argv = ["verify", "--family", "3xN-even", "--param", "4", "--samples", "20",
@@ -231,34 +246,106 @@ class TestSerialization:
         assert rec["n"] is None
 
 
+# stdout and exit code of every `ri-entropy` command shown in README.md
+README_EXAMPLES = [
+    ("ree --j1 1/2 --j2 1/2 --p 1", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree"'
+     ', "j1": "1/2", "j2": "1/2", "p": 1, "alpha": null, "normalized": null'
+     ', "oracle": false, "force_oracle": false}, "result": {"quantity": "E_r"'
+     ', "value": 0.69314718055994529, "region": "ENTANGLED_INTERVAL"'
+     ', "minimizer_alphas": [1, 0.57735026918962584], "aux": null}}\n'),
+    ("ree --j1 1 --j2 1 --normalized 0,1", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
+     ', "j2": "1", "p": null, "alpha": null, "normalized": "0,1"'
+     ', "oracle": false, "force_oracle": false}, "result": {"quantity": "E_r"'
+     ', "value": 0.69314718055994529, "region": "TRI_A\'CE"'
+     ', "minimizer_alphas": [0, 0.8660254037844386, 0.67082039324993692]'
+     ', "aux": null}}\n'),
+    ("ree --j1 1 --j2 3/2 --normalized 1,0 --oracle", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
+     ', "j2": "3/2", "p": null, "alpha": null, "normalized": "1,0"'
+     ', "oracle": true, "force_oracle": false}'
+     ', "result": {"quantity": "E_Gamma", "value": 0.69314718055994529'
+     ', "region": "POLY_A\'HBF", "minimizer_alphas": [1.2247448713915889'
+     ', 0.69282032302755092, 0.14142135623730948], "aux": null'
+     ', "note": "E_Gamma is the minimum over PPT states: a lower bound of E_r'
+     ' and an upper bound of distillable entanglement"'
+     ', "oracle": {"value": 0.69314718055994529, "optimum_point": [0.5'
+     ', 0.40000000000000002], "iterations": 44, "converged": true'
+     ', "abs_diff": 0}}}\n'),
+    ("ree --j1 1 --j2 2 --alpha 0.5,0.9,0.37588444481314626", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
+     ', "j2": "2", "p": null, "alpha": "0.5,0.9,0.37588444481314626"'
+     ', "normalized": null, "oracle": false, "force_oracle": false}'
+     ', "result": {"quantity": "E_r", "value": 0, "region": "SEPARABLE_ADA\'E"'
+     ', "minimizer_alphas": [0.5, 0.90000000000000002, 0.37588444481314626]'
+     ', "aux": null}}\n'),
+    ("geometry --N 5 --table landmarks", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "geometry"'
+     ', "N": 5, "table": "landmarks"}, "result": {"F": [1.1180339887498949'
+     ', 0.8660254037844386], "G": [1.4310835055998654, 0]'
+     ', "H": [2.1466252583997982, 0]}}\n'),
+    ("geometry --N 41 --table area-ratio", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "geometry"'
+     ', "N": 41, "table": "area-ratio"}'
+     ', "result": {"area_ratio": 0.9291521486643437}}\n'),
+    ("verify --family 3xN-odd --param 7 --samples 1000 --seed 7 --tol 1e-6", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "verify"'
+     ', "family": "3xN-odd", "param": "7", "samples": 1000, "seed": 7'
+     ', "tol": 9.9999999999999995e-07}, "result": {"passed": true'
+     ', "max_abs_diff": 3.8857805861880479e-16'
+     ', "worst_input": [0.026452230317890457, 0.93646108806230555]}}\n'),
+]
+README_CURVE = "curve --family 2xN --j-list 1/2,1,3/2 --points 201 --out curves.csv"
+README_CURVE_SHA256 = "53f88444fefa11aa61eaec3306b520b297b50fba821c9b04df1b5881d7596959"
 
-# Prints OPENBLAS_NUM_THREADS as it stands at the moment numpy's import begins.
-_THREADS_PROBE = """
-import os, sys
+# further commands whose output the shared prefactor table and spin parsing feed
+PINNED = [
+    ("geometry --N 5 --table vertices", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "geometry"'
+     ', "N": 5, "table": "vertices"}, "result": {"simplex": {"A": [0, 0'
+     ', 1.4638501094227998], "B": [2.2360679774997898, 0, 0], "C": [0'
+     ', 1.7320508075688772, 0]}, "theta2_images": {"A\'": [1.3416407864998738'
+     ', 0.57735026918962573, 0.097590007294853315], "B\'": [0.22360679774997896'
+     ', -0.8660254037844386, 2.0493901531919199], "C\'": [-0.67082039324993692'
+     ', 1.4433756729740643, 0.68313005106397329]}, "ppt_polygon": {"A": [0, 0]'
+     ', "D": [0.89442719099991586, 0], "A\'": [1.3416407864998738'
+     ', 0.57735026918962573], "E": [0, 1.1547005383792515]}}}\n', ""),
+    ("ree --j1 0.3 --j2 1 --p 0.5", 2, "",
+     "error: spin '0.3' is not an exact half-integer\n"),
+    ("ree --j1 1/0 --j2 1 --p 0.5", 2, "", "error: cannot parse spin '1/0'\n"),
+    ("verify --family 2xN --param abc --samples 5", 2, "",
+     "error: cannot parse spin 'abc'\n"),
+    ("ree --j1 1 --j2 2 --alpha 0.5,0.9", 2, "",
+     "error: --alpha needs 3 comma-separated values, got '0.5,0.9'\n"),
+    ("ree --j1 1 --j2 2 --alpha=-0.5,0.9,0.37588444481314626", 2, "",
+     "error: coefficients not normalized: weighted sum = 0.776393202250021\n"),
+    ("ree --j1 3/2 --j2 3/2 --alpha 4,0,0,0", 3, "",
+     "error: no closed form for j1 = 1.5; only j1 in {1/2, 1} is supported"
+     " (the oracle-only fallback --force-oracle is likewise restricted)\n"),
+]
 
-class Probe:
-    seen = "numpy not imported"
 
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and Probe.seen == "numpy not imported":
-            Probe.seen = repr(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return None
+class TestGolden:
+    def test_every_readme_command_is_pinned(self):
+        shown = {line.split("ri-entropy ", 1)[1].strip()
+                 for line in README.read_text().splitlines()
+                 if line.startswith("ri-entropy ")}
+        assert shown == {cmd for cmd, _, _ in README_EXAMPLES} | {README_CURVE}
 
-sys.meta_path.insert(0, Probe())
-import ri_entropy
-print(Probe.seen)
-"""
+    @pytest.mark.parametrize("cmd,code,out", README_EXAMPLES)
+    def test_readme_example(self, capsys, cmd, code, out):
+        assert run(capsys, *shlex.split(cmd))[:2] == (code, out)
 
+    def test_readme_curve_csv(self, capsys, tmp_path):
+        argv = shlex.split(README_CURVE)
+        argv[-1] = str(tmp_path / argv[-1])
+        assert run(capsys, *argv) == (EXIT_OK, "", "")
+        csv = Path(argv[-1]).read_bytes()
+        assert csv.startswith(b"p,j,E_r\n0,1/2,0\n0.0050000000000000001,1/2,0\n")
+        assert csv.endswith(b"\n0.995,3/2,0.26169606794795475\n1,3/2,0.28768207245178085\n")
+        assert hashlib.sha256(csv).hexdigest() == README_CURVE_SHA256
 
-def test_threads_env_caps_blas_before_numpy_loads():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for value, seen in (("1", "'1'"), ("0", "None")):
-        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE],
-                              env={**env, "RI_ENTROPY_THREADS": value},
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == seen, value
+    @pytest.mark.parametrize("cmd,code,out,err", PINNED)
+    def test_pinned_output(self, capsys, cmd, code, out, err):
+        assert run(capsys, *shlex.split(cmd)) == (code, out, err)

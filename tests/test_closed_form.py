@@ -228,6 +228,22 @@ class Test3xNEven:
             e_gamma_3xn_even(5, NormalizedCoords(0.5, 0.2))
 
 
+class TestNearSimplexEdges:
+    """Points up to NORM_TOL outside the simplex are valid input."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7, 101])
+    def test_points_just_outside_each_edge(self, N):
+        eps = 9e-11
+        for t in (0.0, 0.3, 0.5, 0.9):
+            # (point on an edge, outward offset of at most NORM_TOL)
+            for (x, y), (dx, dy) in (((0.0, t), (-eps, 0.0)), ((t, 0.0), (0.0, -eps)),
+                                     ((t, 1.0 - t), (eps / 2, eps / 2))):
+                value = ree_3xn(N, NormalizedCoords(x + dx, y + dy)).value
+                assert math.isfinite(value)
+                assert value == pytest.approx(ree_3xn(N, NormalizedCoords(x, y)).value,
+                                              abs=1e-8)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
     def test_value_zero_iff_separable(self, N):
@@ -280,8 +296,8 @@ class TestInvariants:
             for s in np.linspace(0.0, 1.0, 100):
                 coords = NormalizedCoords((1 - s) * p0.x + s * p1.x,
                                           (1 - s) * p0.y + s * p1.y)
-                va = _value_in_region(N, coords, r_left)
-                vb = _value_in_region(N, coords, r_right)
+                va = _value_in_region(N, coords, r_left)[0]
+                vb = _value_in_region(N, coords, r_right)[0]
                 worst = max(worst, abs(va - vb))
             assert worst <= 1e-8, (r_left, r_right, worst)
 

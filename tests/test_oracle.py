@@ -1,14 +1,17 @@
 """Tests for the independent numerical oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import ri_entropy.oracle
 from ri_entropy.angular import Spin
 from ri_entropy.closed_form import ree_2xn, ree_3xn_odd, state_2xn
 from ri_entropy.geometry import ppt_polygon, simplex_vertices
 from ri_entropy.oracle import (
+    CAMPAIGNS,
     _interval_search,
     _normalized_polygon,
     _polygon_search,
@@ -191,10 +194,19 @@ class TestVerifyClosedForm:
         b = verify_closed_form("3x3", 3, samples=25, seed=42, tol=1e-6)
         assert a == b  # bit-identical summaries for identical seeds
 
-    def test_zero_tolerance_fails(self):
+    def test_zero_tolerance_fails(self, monkeypatch):
+        exact = ri_entropy.oracle.ree_3x3
+        monkeypatch.setattr(ri_entropy.oracle, "ree_3x3", lambda c: dataclasses.replace(
+            exact(c), value=exact(c).value + 1e-3))
         summary = verify_closed_form("3x3", 3, samples=20, seed=2, tol=0.0)
         assert not summary.passed
-        assert summary.worst_input  # worst-case state reported for triage
+        assert summary.max_abs_diff == pytest.approx(1e-3, abs=1e-12)
+        assert summary.worst_input in zip(*simplex_points(20, seed=2))  # reported for triage
+
+    def test_campaigns_cover_every_family(self):
+        assert CAMPAIGNS == (("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),
+                             ("3x3", 3), ("3xN-odd", 5), ("3xN-odd", 7),
+                             ("3xN-even", 4), ("3xN-even", 6))
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):

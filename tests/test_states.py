@@ -71,6 +71,15 @@ class TestMakeRIState:
         with pytest.raises(ValueError):
             AlphaVector(Spin(2), Spin(1), (1.0, 1.0))
 
+    def test_refusals_come_from_alpha_vector(self):
+        for alphas, message in (((2.0, 0.0, 0.0), "expected 2 coefficients"),
+                                ((2.2, 0.0), "not normalized"),
+                                ((2.0, math.nan), "non-finite"),
+                                ((2.0, -1e-9), "negative coefficient")):
+            for build in (make_ri_state, AlphaVector):
+                with pytest.raises(ValueError, match=message):
+                    build(Spin(1), Spin(1), alphas)
+
 
 class TestToDensity:
     def test_maximally_mixed_dense(self):
@@ -234,6 +243,13 @@ class TestNormalizedCoords:
         back = raw_to_normalized(normalized_to_raw(N, coords))
         assert abs(back.ahat_lo - x) < 1e-12
         assert abs(back.ahat_mid - y) < 1e-12
+
+    def test_within_tolerance_outside_is_moved_onto_the_simplex(self):
+        c = NormalizedCoords(-5e-11, 0.5)
+        assert (c.ahat_lo, c.ahat_mid) == (0.0, 0.5)
+        c = NormalizedCoords(0.25 + 5e-11, 0.75 + 5e-11)
+        assert c.ahat_lo + c.ahat_mid == pytest.approx(1.0, abs=1e-15)
+        assert c.ahat_lo / c.ahat_mid == pytest.approx(1 / 3, rel=1e-9)
 
     def test_outside_simplex_rejected(self):
         with pytest.raises(ValueError):
