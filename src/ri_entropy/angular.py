@@ -116,9 +116,18 @@ def _check_magnetic(j: Spin, m, label: str) -> int:
     return tm
 
 
-def coupling_range(j1: Spin, j2: Spin):
-    """Allowed total spins J = |j1-j2| .. j1+j2, ascending."""
-    return [Spin(tJ) for tJ in range(abs(j1.twice_j - j2.twice_j), j1.twice_j + j2.twice_j + 1, 2)]
+def coupling_range(j1: Spin, j2: Spin) -> tuple[Spin, ...]:
+    """Allowed total spins J = |j1-j2| .. j1+j2, ascending.
+
+    Built once per (j1, j2) and shared: the result is an immutable tuple.
+    """
+    return _coupling_range(j1.twice_j, j2.twice_j)
+
+
+# keyed on the doubled spins: ints hash faster than Spin instances
+@lru_cache(maxsize=256)
+def _coupling_range(tj1: int, tj2: int) -> tuple[Spin, ...]:
+    return tuple(Spin(tJ) for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2))
 
 
 def product_basis_index(j1: Spin, tm1: int, j2: Spin, tm2: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .angular import Spin
@@ -328,9 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a token that starts with '-' and is not a plain number for
+# an option, so '--alpha -1e-13,0.9,0.4' would lose its value; such a value
+# of a comma-separated option is attached with '=' before parsing
+_LIST_OPTIONS = ("--alpha", "--normalized")
+_DASH_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_dash_values(argv):
+    out = []
+    for tok in argv:
+        if out and out[-1] in _LIST_OPTIONS and _DASH_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UnsupportedFamilyError as exc:

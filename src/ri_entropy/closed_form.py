@@ -34,9 +34,9 @@ from .states import (
     AlphaVector,
     NormalizedCoords,
     RIState,
+    _block_weights,
     _discrete_kl,
     _prefactors,
-    block_weights,
     make_ri_state,
     normalized_to_raw,
     raw_to_normalized,
@@ -107,7 +107,7 @@ def state_2xn(j: Spin, p: float) -> RIState:
     """The 2(x)(2j+1) RI state with weight p on the lower total-spin block."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    w = block_weights(Spin(1), j)
+    w = _block_weights(1, j.twice_j)[0]
     return make_ri_state(Spin(1), j, (p / w[0], (1.0 - p) / w[1]))
 
 
@@ -115,7 +115,7 @@ def p_of_state(state: RIState) -> float:
     """Weight of the lower block of a 2(x)N state."""
     if state.j1.twice_j != 1:
         raise ValueError("not a 2(x)N state")
-    return float(state.coeffs.probabilities()[0])
+    return _block_weights(1, state.j2.twice_j)[0][0] * state.coeffs.alphas[0]
 
 
 def ree_2xn(j: Spin, p: float) -> REEResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -126,8 +127,18 @@ class NormalizedChart(NamedTuple):
 
 
 def normalized_chart(N: int) -> NormalizedChart:
-    """All landmarks in barycentric coordinates (exact rational expressions)."""
+    """All landmarks in barycentric coordinates (exact rational expressions).
+
+    Built once per N and shared: the result is an immutable tuple.
+    """
     _check_n(N)
+    return _normalized_chart(N)
+
+
+# typed=True: a numpy-integer N yields numpy-float landmarks; keep them apart
+# from those of a plain int N
+@lru_cache(maxsize=256, typed=True)
+def _normalized_chart(N: int) -> NormalizedChart:
     a = Point2(0.0, 0.0)
     b = Point2(1.0, 0.0)
     c = Point2(0.0, 1.0)
@@ -143,46 +154,56 @@ def normalized_chart(N: int) -> NormalizedChart:
     return NormalizedChart(a, b, c, d, e, ap, f, g, h)
 
 
-def _cross(o: Point2, p: Point2, q: Point2) -> float:
-    """Cross product (p - o) x (q - o)."""
-    return (p.x - o.x) * (q.y - o.y) - (p.y - o.y) * (q.x - o.x)
+def _in_convex_polygon(x: float, y: float, edges, tol: float = SNAP_TOL) -> bool:
+    """Membership in a counterclockwise convex polygon, boundary included.
 
-
-def _snap(v: float, tol: float = SNAP_TOL) -> float:
-    return 0.0 if abs(v) <= tol else v
-
-
-def _in_convex_polygon(pt: Point2, poly, tol: float = SNAP_TOL) -> bool:
-    """Membership in a counterclockwise convex polygon, boundary included."""
-    for i in range(len(poly)):
-        if _snap(_cross(poly[i], poly[(i + 1) % len(poly)], pt), tol) < 0:
+    `edges` holds (o.x, o.y, p.x - o.x, p.y - o.y) for each edge o -> p; a
+    cross product (p - o) x (pt - o) within `tol` of zero counts as on the edge.
+    """
+    for ox, oy, dx, dy in edges:
+        if dx * (y - oy) - dy * (x - ox) < -tol:
             return False
     return True
 
 
 def region_polygons(N: int):
-    """Counterclockwise vertex lists of each region in barycentric coordinates.
+    """Counterclockwise vertex tuples of each region in barycentric coordinates.
 
     Ordered by the boundary tie-break priority: SEPARABLE > A'FCE >
     A'HBF > A'DH (for N = 3: SEPARABLE > A'CE > A'BD > A'BC, which keeps
     the vertices B and C in the regions the state-space figures assign
-    them to).
+    them to).  Built once per N and shared: the result is an immutable tuple.
     """
-    ch = normalized_chart(N)
+    _check_n(N)
+    return _region_polygons(N)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _region_polygons(N: int):
+    ch = _normalized_chart(N)
     if N == 3:
         # degenerate landmarks: F = C, H = B
-        return [
+        return (
             (Region.SEPARABLE, (ch.a, ch.d, ch.a_prime, ch.e)),
             (Region.TRI_APRIME_CE, (ch.a_prime, ch.c, ch.e)),
             (Region.TRI_APRIME_BD, (ch.a_prime, ch.d, ch.b)),
             (Region.TRI_APRIME_BC, (ch.a_prime, ch.b, ch.c)),
-        ]
-    return [
+        )
+    return (
         (Region.SEPARABLE, (ch.a, ch.d, ch.a_prime, ch.e)),
         (Region.POLY_APRIME_FCE, (ch.a_prime, ch.f, ch.c, ch.e)),
         (Region.POLY_APRIME_HBF, (ch.a_prime, ch.h, ch.b, ch.f)),
         (Region.TRI_APRIME_DH, (ch.a_prime, ch.d, ch.h)),
-    ]
+    )
+
+
+@lru_cache(maxsize=256, typed=True)
+def _region_edges(N: int):
+    """region_polygons(N) as (region, edges) pairs for _in_convex_polygon."""
+    return tuple(
+        (region, tuple((o.x, o.y, p.x - o.x, p.y - o.y)
+                       for o, p in zip(poly, poly[1:] + poly[:1])))
+        for region, poly in _region_polygons(N))
 
 
 def classify_region(N: int, coords: NormalizedCoords) -> Region:
@@ -194,17 +215,17 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     the choice value-neutral.
     """
     _check_n(N)
-    pt = Point2(coords.ahat_lo, coords.ahat_mid)
-    regions = region_polygons(N)
-    for region, poly in regions:
-        if _in_convex_polygon(pt, poly):
+    x, y = coords.ahat_lo, coords.ahat_mid
+    regions = _region_edges(N)
+    for region, edges in regions:
+        if _in_convex_polygon(x, y, edges):
             return region
     # numerically squeezed between two region boundaries: retry with a
     # coarser snap (the adjacent closed forms agree there anyway)
-    for region, poly in regions:
-        if _in_convex_polygon(pt, poly, tol=1e-9):
+    for region, edges in regions:
+        if _in_convex_polygon(x, y, edges, tol=1e-9):
             return region
-    raise ValueError(f"point {pt} could not be classified")  # pragma: no cover
+    raise ValueError(f"point {Point2(x, y)} could not be classified")  # pragma: no cover
 
 
 def _shoelace(points) -> float:

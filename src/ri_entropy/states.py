@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,9 +46,21 @@ RENORM_TOL = 1e-8     # deviations below this are silently renormalized
 
 
 def block_weights(j1: Spin, j2: Spin) -> np.ndarray:
-    """w_J = sqrt((2J+1)/(N1 N2)) for J ascending over the coupling range."""
-    dim = j1.dim * j2.dim
-    return np.array([math.sqrt(J.dim / dim) for J in coupling_range(j1, j2)])
+    """w_J = sqrt((2J+1)/(N1 N2)) for J ascending over the coupling range.
+
+    Built once per (j1, j2) and shared: the returned array is read-only.
+    """
+    return _block_weights(j1.twice_j, j2.twice_j)[1]
+
+
+@lru_cache(maxsize=256)
+def _block_weights(tj1: int, tj2: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """w_J of the spins (tj1/2, tj2/2) as a tuple of floats and as a read-only array."""
+    dim = (tj1 + 1) * (tj2 + 1)
+    weights = tuple(math.sqrt(J.dim / dim) for J in coupling_range(Spin(tj1), Spin(tj2)))
+    arr = np.array(weights)
+    arr.flags.writeable = False
+    return weights, arr
 
 
 @dataclass(frozen=True)
@@ -59,16 +72,16 @@ class AlphaVector:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
-        n_expected = len(coupling_range(self.j1, self.j2))
-        if len(self.alphas) != n_expected:
+        w = _block_weights(self.j1.twice_j, self.j2.twice_j)[1]
+        if len(self.alphas) != len(w):
             raise ValueError(
-                f"expected {n_expected} coefficients for ({self.j1}, {self.j2}), "
+                f"expected {len(w)} coefficients for ({self.j1}, {self.j2}), "
                 f"got {len(self.alphas)}")
         vals = [float(a) for a in self.alphas]
-        clamped = [max(a, 0.0) for a in vals]
+        clamped = [0.0 if a < 0.0 else a for a in vals]
         # normalization is judged first, on the clamped values, so that an
         # input off by more than RENORM_TOL is reported as such
-        total = float(block_weights(self.j1, self.j2) @ np.asarray(clamped))
+        total = float(w @ np.asarray(clamped))
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"coefficients not normalized: weighted sum = {total}")
         if self.j2 < self.j1:
@@ -144,12 +157,14 @@ def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
     deviations below 1e-8 are repaired; repairs are flagged on the result.
     Every refusal is left to AlphaVector.
     """
-    arr = np.asarray([float(a) for a in alphas])
-    w = block_weights(j1, j2)
-    total = float(w @ np.clip(arr, 0.0, None)) if len(arr) == len(w) else 1.0
+    vals = [float(a) for a in alphas]
+    w = _block_weights(j1.twice_j, j2.twice_j)[1]
+    total = 1.0
+    if len(vals) == len(w):
+        total = float(w @ np.asarray([0.0 if a < 0.0 else a for a in vals]))
     renorm = NORM_TOL < abs(total - 1.0) < RENORM_TOL
-    return RIState(AlphaVector(j1, j2, tuple(arr / total if renorm else arr)),
-                   renormalized=renorm)
+    alphas = tuple(a / total for a in vals) if renorm else tuple(vals)
+    return RIState(AlphaVector(j1, j2, alphas), renormalized=renorm)
 
 
 def maximally_mixed(j1: Spin, j2: Spin) -> RIState:
@@ -253,9 +268,13 @@ def _check_3xn(j1: Spin, j2: Spin):
         raise ValueError("expected j2 >= 1")
 
 
+@lru_cache(maxsize=256)
 def _prefactors(N: int) -> tuple[float, float, float]:
     """Raw alpha_{j-1}, alpha_j, alpha_{j+1} of the simplex vertices B, C, A of
-    a 3(x)N system: the factors from barycentric to raw coordinates."""
+    a 3(x)N system: the factors from barycentric to raw coordinates.
+
+    Built once per N and shared: the result is an immutable tuple.
+    """
     return math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2))
 
 

@@ -126,6 +126,18 @@ class TestRee:
         assert code == EXIT_OK
         assert math.isfinite(json.loads(out)["result"]["value"])
 
+    @pytest.mark.parametrize("option,value,code", [
+        ("--alpha", "-1e-13,1.7320508075688772,0", EXIT_OK),  # clamped to vertex C
+        ("--alpha", "-1e-13,0.9,0.37588444481314626", EXIT_VALIDATION),  # not normalized
+        ("--normalized", "-5e-11,0.5", EXIT_OK),
+        ("--normalized", "-0.5,0.5", EXIT_VALIDATION),
+    ])
+    def test_value_with_leading_minus_in_either_spelling(self, capsys, option, value, code):
+        head = ("ree", "--j1", "1", "--j2", "2")
+        attached = run(capsys, *head, f"{option}={value}")
+        assert attached[0] == code
+        assert run(capsys, *head, option, value) == attached
+
     def test_unsupported_family_exit_code(self, capsys):
         code, _, err = run(capsys, "ree", "--j1", "3/2", "--j2", "3/2",
                            "--alpha", "4,0,0,0")

@@ -1,7 +1,9 @@
 """Tests for the closed-form E_r / E_Gamma expressions."""
 
+import hashlib
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -393,3 +395,74 @@ class TestDispatch:
     def test_swapped_spins_rejected(self):
         with pytest.raises(ValueError):
             ree_dispatch(Spin(2), Spin(1), (1.0, 1.0))
+
+
+def _golden_records():
+    """repr((value, region, minimizer alphas, aux)) over a fixed seeded input set.
+
+    Inputs come from `random.Random`, whose stream does not depend on the
+    numpy version.  A refusal is recorded as its exception type and message.
+    """
+    rnd = random.Random(20261018)
+    records = []
+
+    def record(fn, *args):
+        try:
+            res = fn(*args)
+        except (ValueError, ArithmeticError) as exc:
+            records.append(repr((type(exc).__name__, str(exc))))
+        else:
+            records.append(repr((res.value, str(res.region), res.minimizer.alphas, res.aux)))
+
+    for tj in (1, 2, 3, 4, 7):
+        j = Spin(tj)
+        pc = separability_threshold(j)
+        for p in (0.0, 1.0, pc, math.nextafter(pc, 0.0), math.nextafter(pc, 1.0),
+                  *(rnd.random() for _ in range(20))):
+            record(ree_2xn, j, p)
+        w = (math.sqrt(tj / (2 * tj + 2)), math.sqrt((tj + 2) / (2 * tj + 2)))
+        for _ in range(5):
+            p = rnd.random()
+            record(ree_dispatch, Spin(1), j, (p / w[0], (1.0 - p) / w[1]))
+        p = rnd.random()
+        record(ree_dispatch, Spin(1), j,
+               ((p / w[0]) * (1 + 1e-9), ((1.0 - p) / w[1]) * (1 + 1e-9)))
+        record(ree_dispatch, Spin(1), j, (-1e-13, 1.0 / w[1]))
+
+    for N in (3, 4, 5, 6, 7, 101, 10001):
+        points = []
+        for _ in range(10):
+            u = sorted((rnd.random(), rnd.random()))
+            points.append((u[0], u[1] - u[0]))
+        for _, poly in region_polygons(N):
+            for _ in range(6):
+                cuts = sorted(rnd.random() for _ in range(len(poly) - 1))
+                weights = [b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])]
+                points.append((sum(wt * v.x for wt, v in zip(weights, poly)),
+                               sum(wt * v.y for wt, v in zip(weights, poly))))
+        for x, y in points:
+            record(ree_3xn, N, NormalizedCoords(x, y))
+        pre = (math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2)))
+        j2 = Spin(N - 1)
+        for x, y in points[:12]:
+            raw = tuple(c * p for c, p in zip((x, y, 1.0 - x - y), pre))
+            record(ree_dispatch, Spin(2), j2, raw)
+        x, y = points[0]
+        record(ree_dispatch, Spin(2), j2, tuple(c * p * (1 + 1e-9)
+                                                for c, p in zip((x, y, 1.0 - x - y), pre)))
+        record(ree_dispatch, Spin(2), j2, (-1e-13, 0.5 * pre[1], 0.5 * pre[2]))
+    return records
+
+
+# a change to these is a change of closed-form output and must be deliberate
+GOLDEN_COUNT = 496
+GOLDEN_SHA256 = "08338925c780b4645905b214468e80f0dc2658661cbbd0e56d26c9c0aad7b557"
+
+
+class TestGoldenValues:
+    """Closed-form outputs pinned bit for bit: a refactor must leave them unchanged."""
+
+    def test_outputs_are_bit_identical(self):
+        records = _golden_records()
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert (len(records), digest) == (GOLDEN_COUNT, GOLDEN_SHA256)
