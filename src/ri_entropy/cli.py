@@ -23,9 +23,9 @@ from .angular import Spin
 from .closed_form import (
     REEResult,
     UnsupportedFamilyError,
+    _ree_of_state,
     p_of_state,
     ree_2xn,
-    ree_dispatch,
     state_2xn,
 )
 from .geometry import (
@@ -155,7 +155,7 @@ def cmd_ree(args) -> int:
                   "optimum_point": list(report.optimum_point),
                   "iterations": report.iterations, "converged": report.converged}
     else:
-        res = ree_dispatch(j1, j2, state.alphas())
+        res = _ree_of_state(state)
         result = _result_payload(res)
         if args.oracle:
             report = _oracle_report(state)

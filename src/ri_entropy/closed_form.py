@@ -107,6 +107,8 @@ def state_2xn(j: Spin, p: float) -> RIState:
     """The 2(x)(2j+1) RI state with weight p on the lower total-spin block."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    if j.twice_j < 1:
+        raise ValueError("expected j2 >= j1")
     w = _block_weights(1, j.twice_j)[0]
     return make_ri_state(Spin(1), j, (p / w[0], (1.0 - p) / w[1]))
 
@@ -261,7 +263,12 @@ def ree_dispatch(j1: Spin, j2: Spin, alphas) -> REEResult:
     """Route an alpha-vector to the closed form for its spin family."""
     if j2 < j1:
         raise ValueError("expected j2 >= j1")
-    state = make_ri_state(j1, j2, alphas)
+    return _ree_of_state(make_ri_state(j1, j2, alphas))
+
+
+def _ree_of_state(state: RIState) -> REEResult:
+    """Closed form for an already validated state, routed by its spin family."""
+    j1, j2 = state.j1, state.j2
     if j1.twice_j == 1:
         return ree_2xn(j2, p_of_state(state))
     if j1.twice_j == 2:

@@ -154,14 +154,14 @@ def _normalized_chart(N: int) -> NormalizedChart:
     return NormalizedChart(a, b, c, d, e, ap, f, g, h)
 
 
-def _in_convex_polygon(x: float, y: float, edges, tol: float = SNAP_TOL) -> bool:
+def _in_convex_polygon(x: float, y: float, edges) -> bool:
     """Membership in a counterclockwise convex polygon, boundary included.
 
     `edges` holds (o.x, o.y, p.x - o.x, p.y - o.y) for each edge o -> p; a
-    cross product (p - o) x (pt - o) within `tol` of zero counts as on the edge.
+    cross product (p - o) x (pt - o) within SNAP_TOL of zero counts as on the edge.
     """
     for ox, oy, dx, dy in edges:
-        if dx * (y - oy) - dy * (x - ox) < -tol:
+        if dx * (y - oy) - dy * (x - ox) < -SNAP_TOL:
             return False
     return True
 
@@ -216,14 +216,8 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     """
     _check_n(N)
     x, y = coords.ahat_lo, coords.ahat_mid
-    regions = _region_edges(N)
-    for region, edges in regions:
+    for region, edges in _region_edges(N):
         if _in_convex_polygon(x, y, edges):
-            return region
-    # numerically squeezed between two region boundaries: retry with a
-    # coarser snap (the adjacent closed forms agree there anyway)
-    for region, edges in regions:
-        if _in_convex_polygon(x, y, edges, tol=1e-9):
             return region
     raise ValueError(f"point {Point2(x, y)} could not be classified")  # pragma: no cover
 

@@ -63,6 +63,10 @@ def _block_weights(tj1: int, tj2: int) -> tuple[tuple[float, ...], np.ndarray]:
     return weights, arr
 
 
+class _NotNormalized(ValueError):
+    """AlphaVector's refusal of an unnormalized vector; `total` is its weighted sum."""
+
+
 @dataclass(frozen=True)
 class AlphaVector:
     """Validated block coefficients of an RI state, J ascending."""
@@ -79,11 +83,13 @@ class AlphaVector:
                 f"got {len(self.alphas)}")
         vals = [float(a) for a in self.alphas]
         clamped = [0.0 if a < 0.0 else a for a in vals]
-        # normalization is judged first, on the clamped values, so that an
-        # input off by more than RENORM_TOL is reported as such
+        # normalization is judged first, on the clamped values, so that
+        # make_ri_state can repair any input whose total is within RENORM_TOL
         total = float(w @ np.asarray(clamped))
         if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"coefficients not normalized: weighted sum = {total}")
+            exc = _NotNormalized(f"coefficients not normalized: weighted sum = {total}")
+            exc.total = total
+            raise exc
         if self.j2 < self.j1:
             raise ValueError("expected j2 >= j1")
         for a in vals:
@@ -153,18 +159,18 @@ class NormalizedCoords:
 def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
     """Validate coefficients into an RIState.
 
-    Small negatives (>= -1e-12) are clamped to zero and normalization
-    deviations below 1e-8 are repaired; repairs are flagged on the result.
-    Every refusal is left to AlphaVector.
+    Small negatives (>= -1e-12) are clamped to zero; a weighted total off by
+    less than 1e-8 is divided out and flagged as `renormalized`.  AlphaVector
+    computes that total and makes every refusal.
     """
-    vals = [float(a) for a in alphas]
-    w = _block_weights(j1.twice_j, j2.twice_j)[1]
-    total = 1.0
-    if len(vals) == len(w):
-        total = float(w @ np.asarray([0.0 if a < 0.0 else a for a in vals]))
-    renorm = NORM_TOL < abs(total - 1.0) < RENORM_TOL
-    alphas = tuple(a / total for a in vals) if renorm else tuple(vals)
-    return RIState(AlphaVector(j1, j2, alphas), renormalized=renorm)
+    vals = tuple(float(a) for a in alphas)
+    try:
+        return RIState(AlphaVector(j1, j2, vals))
+    except _NotNormalized as exc:
+        if abs(exc.total - 1.0) >= RENORM_TOL:
+            raise
+        vals = tuple(a / exc.total for a in vals)
+    return RIState(AlphaVector(j1, j2, vals), renormalized=True)
 
 
 def maximally_mixed(j1: Spin, j2: Spin) -> RIState:
@@ -261,13 +267,6 @@ def quantum_relative_entropy(a: DenseOperator, b: DenseOperator) -> float:
     return max(tr_a_ln_a - tr_a_ln_b, 0.0)
 
 
-def _check_3xn(j1: Spin, j2: Spin):
-    if j1.twice_j != 2:
-        raise ValueError("normalized coordinates are defined only for 3(x)N systems (j1 = 1)")
-    if j2 < j1:
-        raise ValueError("expected j2 >= 1")
-
-
 @lru_cache(maxsize=256)
 def _prefactors(N: int) -> tuple[float, float, float]:
     """Raw alpha_{j-1}, alpha_j, alpha_{j+1} of the simplex vertices B, C, A of
@@ -280,10 +279,10 @@ def _prefactors(N: int) -> tuple[float, float, float]:
 
 def raw_to_normalized(state: RIState) -> NormalizedCoords:
     """Barycentric (ahat_lo, ahat_mid) of a 3(x)N state."""
-    _check_3xn(state.j1, state.j2)
-    N = state.j2.dim
-    pre = _prefactors(N)
-    a = state.alphas()
+    if state.j1.twice_j != 2:  # j2 >= j1 holds for every validated state
+        raise ValueError("normalized coordinates are defined only for 3(x)N systems (j1 = 1)")
+    pre = _prefactors(state.j2.dim)
+    a = state.coeffs.alphas
     return NormalizedCoords(a[0] / pre[0], a[1] / pre[1])
 
 

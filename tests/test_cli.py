@@ -335,6 +335,59 @@ PINNED = [
     ("ree --j1 3/2 --j2 3/2 --alpha 4,0,0,0", 3, "",
      "error: no closed form for j1 = 1.5; only j1 in {1/2, 1} is supported"
      " (the oracle-only fallback --force-oracle is likewise restricted)\n"),
+    # repaired inputs: a clamped -1e-13 coefficient (vertex C) and a vector off
+    # by 5e-9 that is renormalized, each with and without the oracle
+    ("ree --j1 1 --j2 2 --alpha=-1e-13,1.7320508075688772,0", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
+     ', "j2": "2", "p": null, "alpha": "-1e-13,1.7320508075688772,0"'
+     ', "normalized": null, "oracle": false, "force_oracle": false}'
+     ', "result": {"quantity": "E_r", "value": 0.40546510810816438'
+     ', "region": "POLY_A\'FCE", "minimizer_alphas": [0, 1.1547005383792515'
+     ', 0.48795003647426666], "aux": {"a": 0, "t1": -10'
+     ', "minimizer_point": [0, 1.1547005383792515]}}}\n', ""),
+    ("ree --j1 1 --j2 2 --alpha=-1e-13,1.7320508075688772,0 --oracle", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
+     ', "j2": "2", "p": null, "alpha": "-1e-13,1.7320508075688772,0"'
+     ', "normalized": null, "oracle": true, "force_oracle": false}'
+     ', "result": {"quantity": "E_r", "value": 0.40546510810816438'
+     ', "region": "POLY_A\'FCE", "minimizer_alphas": [0, 1.1547005383792515'
+     ', 0.48795003647426666], "aux": {"a": 0, "t1": -10'
+     ', "minimizer_point": [0, 1.1547005383792515]}'
+     ', "oracle": {"value": 0.40546510810816438, "optimum_point": [0'
+     ', 0.66666666666666663], "iterations": 44, "converged": true'
+     ', "abs_diff": 0}}}\n', ""),
+    ("ree --j1 1 --j2 2 --alpha 0.11180339943400648,1.5588457346062181"
+     ",0.07319250583710252", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
+     ', "j2": "2", "p": null, "alpha": "0.11180339943400648,1.5588457346062181'
+     ',0.07319250583710252", "normalized": null, "oracle": false'
+     ', "force_oracle": false}, "result": {"quantity": "E_r"'
+     ', "value": 0.21642780227875166, "region": "POLY_A\'FCE"'
+     ', "minimizer_alphas": [0.12993852547542178, 1.0987839000240229'
+     ', 0.45014348862143688], "aux": {"a": 0.048425229309855211, "t1": -11.1'
+     ', "minimizer_point": [0.12993852547542178, 1.0987839000240229]}}}\n', ""),
+    ("ree --j1 1 --j2 2 --alpha 0.11180339943400648,1.5588457346062181"
+     ",0.07319250583710252 --oracle", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
+     ', "j2": "2", "p": null, "alpha": "0.11180339943400648,1.5588457346062181'
+     ',0.07319250583710252", "normalized": null, "oracle": true'
+     ', "force_oracle": false}, "result": {"quantity": "E_r"'
+     ', "value": 0.21642780227875166, "region": "POLY_A\'FCE"'
+     ', "minimizer_alphas": [0.12993852547542178, 1.0987839000240229'
+     ', 0.45014348862143688], "aux": {"a": 0.048425229309855211, "t1": -11.1'
+     ', "minimizer_point": [0.12993852547542178, 1.0987839000240229]}'
+     ', "oracle": {"value": 0.21642780227875158, "optimum_point"'
+     ': [0.058110274248893722, 0.63438318097283686], "iterations": 44'
+     ', "converged": true, "abs_diff": 8.3266726846886741e-17}}}\n', ""),
+    # a spin-0 second factor is refused like any j2 < j1, with exit code 2
+    ("ree --j1 1/2 --j2 0 --p 0.5", 2, "", "error: expected j2 >= j1\n"),
+    # p exactly at the 2(x)3 separability threshold 2/3
+    ("ree --j1 1/2 --j2 1 --p 0.6666666666666666", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1/2"'
+     ', "j2": "1", "p": 0.66666666666666663, "alpha": null, "normalized": null'
+     ', "oracle": false, "force_oracle": false}, "result": {"quantity": "E_r"'
+     ', "value": 0, "region": "SEPARABLE_ADA\'E", "minimizer_alphas"'
+     ': [1.1547005383792515, 0.40824829046386307], "aux": null}}\n', ""),
 ]
 
 

@@ -86,6 +86,12 @@ class Test2xN:
         with pytest.raises(ValueError):
             ree_2xn(Spin(1), 1.2)
 
+    def test_spin_zero_second_factor_rejected(self):
+        # spin 1/2 (x) spin 0 has one coupled block, so there is no 2(x)N state
+        for p in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match=r"^expected j2 >= j1$"):
+                state_2xn(Spin(0), p)
+
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.0, 1.0), st.sampled_from([1, 2, 3, 4]))
     def test_value_equals_kl_to_minimizer(self, p, tj):

@@ -79,6 +79,46 @@ class TestMakeRIState:
             for build in (make_ri_state, AlphaVector):
                 with pytest.raises(ValueError, match=message):
                     build(Spin(1), Spin(1), alphas)
+        # boundary inputs: (j1, j2, alphas, make_ri_state outcome, AlphaVector
+        # outcome), each outcome a refusal message or (stored alphas, renormalized)
+        half, one = Spin(1), Spin(2)
+        not_normalized = "coefficients not normalized: weighted sum = "
+        cases = [
+            # total off by just under / just over NORM_TOL
+            (half, half, (2.0 * (1 + 0.9e-10), 0.0),
+             ((2.00000000018, 0.0), False), ((2.00000000018, 0.0), False)),
+            (half, half, (2.0 * (1 + 1.1e-10), 0.0),
+             ((2.0, 0.0), True), not_normalized + "1.00000000011"),
+            # total off by just under / just over RENORM_TOL
+            (half, half, (2.0 * (1 - 0.99e-8), 0.0),
+             ((2.0, 0.0), True), not_normalized + "0.9999999901"),
+            (half, half, (2.0 * (1 + 1.01e-8), 0.0),
+             not_normalized + "1.0000000101", not_normalized + "1.0000000101"),
+            # the clamping edge NEG_CLAMP
+            (half, half, (2.0, -1e-12), ((2.0, 0.0), False), ((2.0, 0.0), False)),
+            (half, half, (2.0, -1.0000001e-12),
+             "negative coefficient -1.0000001e-12", "negative coefficient -1.0000001e-12"),
+            # infinities: +inf spoils the total, -inf is clamped out of it
+            (half, half, (math.inf, 0.0), not_normalized + "inf", not_normalized + "inf"),
+            (half, half, (2.0, -math.inf), "non-finite coefficient", "non-finite coefficient"),
+            # swapped spins: the length is judged first, then the total
+            (one, half, (2.0, 0.0, 0.0),
+             "expected 2 coefficients for (Spin(1), Spin(1/2)), got 3",
+             "expected 2 coefficients for (Spin(1), Spin(1/2)), got 3"),
+            (one, half, (math.sqrt(3.0), 0.0), "expected j2 >= j1", "expected j2 >= j1"),
+            (one, half, (math.sqrt(3.0) * (1 + 5e-9), 0.0),
+             "expected j2 >= j1", not_normalized + "1.000000005"),
+        ]
+        for j1, j2, alphas, by_make, by_vector in cases:
+            for build, expected in ((make_ri_state, by_make), (AlphaVector, by_vector)):
+                if isinstance(expected, str):
+                    with pytest.raises(ValueError) as info:
+                        build(j1, j2, alphas)
+                    assert str(info.value) == expected
+                else:
+                    made = build(j1, j2, alphas)
+                    vector = getattr(made, "coeffs", made)
+                    assert (vector.alphas, getattr(made, "renormalized", False)) == expected
 
 
 class TestToDensity:
