@@ -24,7 +24,6 @@ roots are expressed in barycentric units.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -55,12 +54,6 @@ __all__ = [
     "p_of_state",
     "separability_threshold",
 ]
-
-log = logging.getLogger(__name__)
-
-DISC_TOL = 1e-9   # discriminants above -DISC_TOL are clamped to zero
-SEG_TOL = 1e-9    # slack for the minimizer-on-segment guard
-
 
 class UnsupportedFamilyError(ValueError):
     """Spin pair without a closed form (j1 >= 3/2)."""
@@ -156,21 +149,6 @@ def _segment_root(c0: Point2, c1: Point2, s: float):
     return ((1.0 - s) * c0.x + s * c1.x, (1.0 - s) * c0.y + s * c1.y)
 
 
-def _pick_root(lo_root: float, hi_root: float, to_s, region_name: str) -> float:
-    """Prefer the stated root branch; fall back if it leaves the segment."""
-    s = to_s(lo_root)
-    if -SEG_TOL <= s <= 1.0 + SEG_TOL:
-        return lo_root
-    s_other = to_s(hi_root)
-    if -SEG_TOL <= s_other <= 1.0 + SEG_TOL:
-        log.warning("root branch for region %s fell off the segment (s=%.3g); "
-                    "using the other branch", region_name, s)
-        return hi_root
-    raise ArithmeticError(
-        f"no quadratic root yields a minimizer on the segment for {region_name} "
-        f"(s candidates {s}, {s_other})")
-
-
 def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
     """Closed form for a state evaluated under the formula of `region`.
 
@@ -183,48 +161,50 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
     aux = None
 
     if region is Region.SEPARABLE:
-        sigma = (x, y)
-    elif region is Region.TRI_APRIME_CE:
+        return 0.0, (x, y), None
+    if region is Region.TRI_APRIME_CE:
         # N = 3: project from C onto the line EA' (sigma_y = 1/2)
-        sigma = (x / (2.0 * (1.0 - y)) if 1.0 - y > 1e-15 else 0.0, 0.5)
-    elif region is Region.TRI_APRIME_BC:
-        # N = 3: the whole triangle shares the minimizer A'
-        sigma = (ch.a_prime.x, ch.a_prime.y)
+        sigma = (x / (2.0 * (1.0 - y)) if y < 1.0 else 0.0, 0.5)
     elif region is Region.TRI_APRIME_BD:
         # N = 3: project from B onto the line DA' (sigma_x = 1/3)
-        sigma = (1.0 / 3.0, 2.0 * y / (3.0 * (1.0 - x)) if 1.0 - x > 1e-15 else 0.0)
-    elif region is Region.POLY_APRIME_HBF:
+        sigma = (1.0 / 3.0, 2.0 * y / (3.0 * (1.0 - x)) if x < 1.0 else 0.0)
+    elif region is Region.POLY_APRIME_HBF or region is Region.TRI_APRIME_BC:
+        # the whole region shares the minimizer A'
         sigma = (ch.a_prime.x, ch.a_prime.y)
     elif region is Region.POLY_APRIME_FCE:
-        # minimizer on the edge EA' at parameter s = (N-1) a / (N-3)
+        # minimizer on EA' at s = (N-1) a / (N-3), a the smaller root of
+        # (N-1)^2 a^2 + t1 a + N(N-3) x = 0 (t1 < 0); disc is taken from the same
+        # quadratic in 1 - s, whose constant c0 <= 0 is the A'-F form: no cancellation
         t1 = (N + 1) * y - N * (N - 3) * x - (N - 1) ** 2
-        disc = t1 * t1 - 4.0 * N * (N - 1) ** 2 * (N - 3) * x
-        if disc < -DISC_TOL:
-            raise ArithmeticError(f"negative discriminant {disc} in region A'FCE")
-        sq = math.sqrt(max(disc, 0.0))
-        denom = 2.0 * (N - 1) ** 2
-        a = _pick_root((-t1 - sq) / denom, (-t1 + sq) / denom,
-                       lambda r: (N - 1) * r / (N - 3), "A'FCE")
+        c1 = -t1 - 2 * (N - 1) * (N - 3)
+        c0 = 2 * N * x + (N + 1) * y - 2 * (N - 1)
+        disc = c1 * c1 - 4.0 * (N - 1) * (N - 3) * c0
+        a = 2.0 * N * (N - 3) * x / (-t1 + math.sqrt(max(disc, 0.0)))
         s = min(max((N - 1) * a / (N - 3), 0.0), 1.0)
         sigma = _segment_root(ch.e, ch.a_prime, s)
         aux = RootInfo("a", a, t1, _raw_point(N, sigma))
-    elif region is Region.TRI_APRIME_DH:  # minimizer on the edge DA'
-        t2 = ((N + 3) * (N - 1) ** 2 + 2.0 * N * (N * N - 5) * x
-              + (N + 1) ** 2 * (N - 3) * y)
-        disc = t2 * t2 - 8.0 * N * (N * N - 5) * (N - 1) ** 2 * (N + 3) * x
-        if disc < -DISC_TOL:
-            raise ArithmeticError(f"negative discriminant {disc} in region A'DH")
-        sq = math.sqrt(max(disc, 0.0))
-        denom = 4.0 * N * (N * N - 5)
-        to_s = lambda r: (2.0 * N * (N * N - 5) * r / ((N + 3) * (N - 1)) - (N - 1)) / (N - 3)
-        b = _pick_root((t2 + sq) / denom, (t2 - sq) / denom, to_s, "A'DH")
-        s = min(max(to_s(b), 0.0), 1.0)
+    elif region is Region.TRI_APRIME_DH:
+        # minimizer on the edge DA' at s = u / ((N+3)(N-1)(N-3)), where
+        # u = 2N(N^2-5) b - K, K = (N+3)(N-1)^2, for the larger root b of
+        # 2N(N^2-5) b^2 - t2 b + K x = 0; u solves u^2 + beta u - gamma = 0
+        # with gamma >= 0 and is taken in the form that does not cancel
+        K = (N + 3) * (N - 1) ** 2
+        M = 2.0 * N * (N * N - 5)
+        Py = (N + 1) ** 2 * (N - 3) * y
+        t2 = K + M * x + Py
+        beta = K - M * x - Py
+        gamma = K * Py
+        sq = math.sqrt(beta * beta + 4.0 * gamma)
+        u = 2.0 * gamma / (beta + sq) if beta > 0.0 else (sq - beta) / 2.0
+        s = min(max(u / ((N + 3) * (N - 1) * (N - 3)), 0.0), 1.0)
         sigma = _segment_root(ch.d, ch.a_prime, s)
-        aux = RootInfo("b", b, t2, _raw_point(N, sigma))
+        aux = RootInfo("b", (u + K) / M, t2, _raw_point(N, sigma))
     else:  # pragma: no cover
         raise ValueError(f"region {region} is not defined for N = {N}")
-    value = _discrete_kl((x, y, coords.ahat_hi),
-                         (sigma[0], sigma[1], 1.0 - sigma[0] - sigma[1]))
+    # sigma is on the PPT polygon, where the third coordinate is at least that
+    # of A', 2/(N(N+1)); near A' at large N, 1 - x - y rounds below it
+    sz = max(1.0 - sigma[0] - sigma[1], 2.0 / N / (N + 1))
+    value = _discrete_kl((x, y, coords.ahat_hi), (sigma[0], sigma[1], sz))
     return value, sigma, aux
 
 

@@ -32,9 +32,6 @@ __all__ = [
     "normalized_chart",
 ]
 
-SNAP_TOL = 1e-12
-
-
 class Point2(NamedTuple):
     x: float
     y: float
@@ -154,18 +151,6 @@ def _normalized_chart(N: int) -> NormalizedChart:
     return NormalizedChart(a, b, c, d, e, ap, f, g, h)
 
 
-def _in_convex_polygon(x: float, y: float, edges) -> bool:
-    """Membership in a counterclockwise convex polygon, boundary included.
-
-    `edges` holds (o.x, o.y, p.x - o.x, p.y - o.y) for each edge o -> p; a
-    cross product (p - o) x (pt - o) within SNAP_TOL of zero counts as on the edge.
-    """
-    for ox, oy, dx, dy in edges:
-        if dx * (y - oy) - dy * (x - ox) < -SNAP_TOL:
-            return False
-    return True
-
-
 def region_polygons(N: int):
     """Counterclockwise vertex tuples of each region in barycentric coordinates.
 
@@ -197,29 +182,63 @@ def _region_polygons(N: int):
     )
 
 
-@lru_cache(maxsize=256, typed=True)
-def _region_edges(N: int):
-    """region_polygons(N) as (region, edges) pairs for _in_convex_polygon."""
-    return tuple(
-        (region, tuple((o.x, o.y, p.x - o.x, p.y - o.y)
-                       for o, p in zip(poly, poly[1:] + poly[:1])))
-        for region, poly in _region_polygons(N))
+# Evaluated in floats (a, b, c rounded once, two products, two sums), a form
+# a x + b y - c is within about 5u (|a x| + |b y| + |c|) of exact, u = 2^-53,
+# with |a x| and |b y| as computed; underflow adds at most 2^-1075 per product,
+# far below u |c| as c >= 2.  A float value beyond 16u times that sum has the exact sign.
+_ROUNDING = 16 * 2.0 ** -53
+
+
+@lru_cache(maxsize=256)
+def _lines(N: int):
+    """D-A', A'-E, A'-F, A'-H (at N = 3: A'-C, A'-B) as forms a x + b y = c.
+
+    Each is (ints, floats); built from int(N), as N^3 overflows int64 at 10^8.
+    """
+    N = int(N)
+    return tuple((line, tuple(map(float, line))) for line in (
+        (4 * N, -(N - 3) * (N + 1), 2 * (N - 1)),
+        (N * (N - 3), (N - 2) * (N + 1), (N - 2) * (N - 1)),
+        (2 * N, N + 1, 2 * (N - 1)),
+        (N * (N * N - 5), (N - 2) * (N + 1) ** 2, (N + 3) * (N - 1) * (N - 2))))
+
+
+def _exact_side(line, x: float, y: float) -> int:
+    """Sign of a x + b y - c at the exact value of the float point (x, y)."""
+    (a, b, c), (px, qx), (py, qy) = line, x.as_integer_ratio(), y.as_integer_ratio()
+    v = a * px * qy + b * py * qx - c * qx * qy
+    return (v > 0) - (v < 0)
 
 
 def classify_region(N: int, coords: NormalizedCoords) -> Region:
-    """Region of the chart containing the state.
+    """Region of the chart containing the state, decided exactly.
 
-    Boundary points are assigned by the priority
-    SEPARABLE > A'FCE > A'HBF > A'DH (for N = 3: SEPARABLE > A'CE >
-    A'BD > A'BC); continuity of the closed forms across boundaries makes
-    the choice value-neutral.
+    Each region is the part of the simplex in a cone at A' between two lines
+    of `_lines`.  Boundary points go to the first region of the priority
+    SEPARABLE > A'FCE > A'HBF > A'DH (N = 3: SEPARABLE > A'CE > A'BD > A'BC),
+    a value-neutral choice as the closed forms are continuous.  The simplex
+    edges are not tested: a float point just past x + y = 1 falls beyond BC.
     """
     _check_n(N)
     x, y = coords.ahat_lo, coords.ahat_mid
-    for region, edges in _region_edges(N):
-        if _in_convex_polygon(x, y, edges):
-            return region
-    raise ValueError(f"point {Point2(x, y)} could not be classified")  # pragma: no cover
+    (d, (ad, bd, cd)), (e, (ae, be, ce)), (f, (af, bf, cf)), (h, (ah, bh, ch)) = _lines(N)
+    # each form is > 0 on B's side of its line (on C's side for A'-E, and for
+    # A'-H at N = 3); x, y >= 0 and every coefficient but bd is >= 0
+    if abs(sd := ad * x + bd * y - cd) <= _ROUNDING * (ad * x - bd * y + cd):
+        sd = _exact_side(d, x, y)
+    if abs(se := ae * x + be * y - ce) <= _ROUNDING * (ae * x + be * y + ce):
+        se = _exact_side(e, x, y)
+    if sd <= 0 and se <= 0:
+        return Region.SEPARABLE
+    if abs(sf := af * x + bf * y - cf) <= _ROUNDING * (af * x + bf * y + cf):
+        sf = _exact_side(f, x, y)
+    if sf <= 0 <= se:
+        return Region.POLY_APRIME_FCE if N > 3 else Region.TRI_APRIME_CE
+    if abs(sh := ah * x + bh * y - ch) <= _ROUNDING * (ah * x + bh * y + ch):
+        sh = _exact_side(h, x, y)
+    if N > 3:
+        return Region.POLY_APRIME_HBF if sh >= 0 and sf >= 0 else Region.TRI_APRIME_DH
+    return Region.TRI_APRIME_BD if sd >= 0 >= sh else Region.TRI_APRIME_BC
 
 
 def _shoelace(points) -> float:

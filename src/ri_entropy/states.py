@@ -153,7 +153,7 @@ class NormalizedCoords:
 
     @property
     def ahat_hi(self) -> float:
-        return 1.0 - self.ahat_lo - self.ahat_mid
+        return max(1.0 - self.ahat_lo - self.ahat_mid, 0.0)  # lo + mid may round to 1
 
 
 def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:

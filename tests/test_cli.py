@@ -362,9 +362,9 @@ PINNED = [
      ', "j2": "2", "p": null, "alpha": "0.11180339943400648,1.5588457346062181'
      ',0.07319250583710252", "normalized": null, "oracle": false'
      ', "force_oracle": false}, "result": {"quantity": "E_r"'
-     ', "value": 0.21642780227875166, "region": "POLY_A\'FCE"'
+     ', "value": 0.21642780227875161, "region": "POLY_A\'FCE"'
      ', "minimizer_alphas": [0.12993852547542178, 1.0987839000240229'
-     ', 0.45014348862143688], "aux": {"a": 0.048425229309855211, "t1": -11.1'
+     ', 0.45014348862143688], "aux": {"a": 0.048425229309855218, "t1": -11.1'
      ', "minimizer_point": [0.12993852547542178, 1.0987839000240229]}}}\n', ""),
     ("ree --j1 1 --j2 2 --alpha 0.11180339943400648,1.5588457346062181"
      ",0.07319250583710252 --oracle", 0,
@@ -372,13 +372,13 @@ PINNED = [
      ', "j2": "2", "p": null, "alpha": "0.11180339943400648,1.5588457346062181'
      ',0.07319250583710252", "normalized": null, "oracle": true'
      ', "force_oracle": false}, "result": {"quantity": "E_r"'
-     ', "value": 0.21642780227875166, "region": "POLY_A\'FCE"'
+     ', "value": 0.21642780227875161, "region": "POLY_A\'FCE"'
      ', "minimizer_alphas": [0.12993852547542178, 1.0987839000240229'
-     ', 0.45014348862143688], "aux": {"a": 0.048425229309855211, "t1": -11.1'
+     ', 0.45014348862143688], "aux": {"a": 0.048425229309855218, "t1": -11.1'
      ', "minimizer_point": [0.12993852547542178, 1.0987839000240229]}'
      ', "oracle": {"value": 0.21642780227875158, "optimum_point"'
      ': [0.058110274248893722, 0.63438318097283686], "iterations": 44'
-     ', "converged": true, "abs_diff": 8.3266726846886741e-17}}}\n', ""),
+     ', "converged": true, "abs_diff": 2.7755575615628914e-17}}}\n', ""),
     # a spin-0 second factor is refused like any j2 < j1, with exit code 2
     ("ree --j1 1/2 --j2 0 --p 0.5", 2, "", "error: expected j2 >= j1\n"),
     # p exactly at the 2(x)3 separability threshold 2/3

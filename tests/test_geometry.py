@@ -1,6 +1,7 @@
 """Tests for the convex geometry of the 3(x)N state simplex."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,11 +131,23 @@ class TestClassification:
             assert classify_region(N, NormalizedCoords(0.0, 1.0)) is Region.POLY_APRIME_FCE
 
     def test_boundary_priority(self):
-        # A' belongs to every region's closure; the tie-break assigns SEPARABLE
-        for N in (3, 5, 8):
-            ch = normalized_chart(N)
-            coords = NormalizedCoords(ch.a_prime.x, ch.a_prime.y)
-            assert classify_region(N, coords) is Region.SEPARABLE
+        """Dyadic points exactly on a shared edge go to the higher-priority region."""
+        F = Fraction
+        a5, a3 = (F(3, 5), F(1, 3)), (F(1, 3), F(1, 2))  # A' at N = 5 and N = 3
+        cases = [  # N, point, the edge it lies on, expected region
+            (5, (F(7, 16), F(1, 16)), (F(2, 5), F(0)), a5, Region.SEPARABLE),  # D-A'
+            (3, (F(1, 4), F(1, 2)), a3, (F(0), F(1, 2)), Region.SEPARABLE),  # A'-E
+            (5, (F(35, 64), F(27, 64)), a5, (F(1, 2), F(1, 2)), Region.POLY_APRIME_FCE),  # A'-F
+            (5, (F(21, 32), F(9, 32)), a5, (F(24, 25), F(0)), Region.POLY_APRIME_HBF),  # A'-H
+            (3, (F(1, 2), F(3, 8)), a3, (F(1), F(0)), Region.TRI_APRIME_BD),  # A'-B
+            (3, (F(1, 4), F(5, 8)), a3, (F(0), F(1)), Region.TRI_APRIME_CE),  # A'-C
+        ]
+        for N, pt, o, p, region in cases:
+            assert (p[0] - o[0]) * (pt[1] - o[1]) == (p[1] - o[1]) * (pt[0] - o[0])
+            assert min(o[0], p[0]) < pt[0] < max(o[0], p[0])
+            coords = NormalizedCoords(float(pt[0]), float(pt[1]))
+            assert (F(coords.ahat_lo), F(coords.ahat_mid)) == pt
+            assert classify_region(N, coords) is region
 
     def test_outside_simplex_rejected(self):
         with pytest.raises(ValueError):

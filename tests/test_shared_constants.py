@@ -12,7 +12,7 @@ from ri_entropy.states import NormalizedCoords, block_weights
 
 BUILDERS = [angular._coupling_range, angular._projector, states._block_weights,
             states._prefactors, geometry._normalized_chart, geometry._region_polygons,
-            geometry._region_edges]
+            geometry._lines]
 
 
 def test_block_weights_are_read_only():

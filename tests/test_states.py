@@ -291,6 +291,13 @@ class TestNormalizedCoords:
         assert c.ahat_lo + c.ahat_mid == pytest.approx(1.0, abs=1e-15)
         assert c.ahat_lo / c.ahat_mid == pytest.approx(1 / 3, rel=1e-9)
 
+    def test_third_coordinate_is_never_negative(self):
+        # 1.0 + 1e-17 rounds to 1.0, so no rescale happens; the rest is clamped
+        c = NormalizedCoords(1.0, 1e-17)
+        assert (c.ahat_lo, c.ahat_mid) == (1.0, 1e-17)
+        assert c.ahat_hi == 0.0
+        assert NormalizedCoords(0.25, 0.5).ahat_hi == 0.25
+
     def test_outside_simplex_rejected(self):
         with pytest.raises(ValueError):
             NormalizedCoords(0.7, 0.7)
