@@ -35,6 +35,7 @@ from .states import (
     RIState,
     _block_weights,
     _discrete_kl,
+    _plain_n,
     _prefactors,
     make_ri_state,
     normalized_to_raw,
@@ -96,14 +97,24 @@ def separability_threshold(j: Spin) -> float:
     return j.twice_j / (j.twice_j + 1)
 
 
+_SPIN_HALF = Spin(1)
+
+
 def state_2xn(j: Spin, p: float) -> RIState:
-    """The 2(x)(2j+1) RI state with weight p on the lower total-spin block."""
+    """The 2(x)(2j+1) RI state with weight p on the lower total-spin block.
+
+    Valid by construction, so not checked again: with p in [0, 1] and
+    j >= 1/2 checked here, the coefficients p / w_0 and (1 - p) / w_1 are
+    >= 0 and their weighted total is within a few ulps of 1.  Every 2(x)N
+    `REEResult.minimizer` is built here.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if j.twice_j < 1:
         raise ValueError("expected j2 >= j1")
     w = _block_weights(1, j.twice_j)[0]
-    return make_ri_state(Spin(1), j, (p / w[0], (1.0 - p) / w[1]))
+    p = float(p)
+    return RIState(AlphaVector._unchecked(_SPIN_HALF, j, (p / w[0], (1.0 - p) / w[1])))
 
 
 def p_of_state(state: RIState) -> float:
@@ -223,6 +234,7 @@ def _raw_point(N: int, sigma) -> Point2:
 
 def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:
     """REE of a 3(x)N RI state, odd N >= 5."""
+    N = _plain_n(N)
     if N % 2 == 0 or N < 5:
         raise ValueError("need odd N >= 5 (use ree_3x3 / e_gamma_3xn_even otherwise)")
     return _ree_3xn(N, coords, "E_r")
@@ -230,6 +242,7 @@ def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:
 
 def e_gamma_3xn_even(N: int, coords: NormalizedCoords) -> REEResult:
     """E_Gamma (PPT-relative entropy, a lower bound of REE) for even N >= 4."""
+    N = _plain_n(N)
     if N % 2 or N < 4:
         raise ValueError("need even N >= 4")
     return _ree_3xn(N, coords, "E_Gamma")

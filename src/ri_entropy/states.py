@@ -99,6 +99,19 @@ class AlphaVector:
                 raise ValueError(f"negative coefficient {a}")
         object.__setattr__(self, "alphas", tuple(clamped))
 
+    @classmethod
+    def _unchecked(cls, j1: Spin, j2: Spin, alphas: tuple[float, ...]) -> AlphaVector:
+        """An AlphaVector stored as given, without the checks of __post_init__.
+
+        Only for builders whose own checked inputs make the vector valid by
+        construction (`normalized_to_raw`, `closed_form.state_2xn`): j2 >= j1,
+        one finite float >= 0 per block and a weighted total within a few ulps
+        of 1, so that __post_init__ would store the same floats.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(j1=j1, j2=j2, alphas=alphas)  # frozen: bypass __setattr__
+        return self
+
     def as_array(self) -> np.ndarray:
         return np.asarray(self.alphas)
 
@@ -286,10 +299,26 @@ def raw_to_normalized(state: RIState) -> NormalizedCoords:
     return NormalizedCoords(a[0] / pre[0], a[1] / pre[1])
 
 
+def _plain_n(N):
+    """A numpy-integer N as an int, whose arithmetic cannot overflow; any other N as given."""
+    return int(N) if isinstance(N, np.integer) else N
+
+
+_SPIN_ONE = Spin(2)
+
+
 def normalized_to_raw(N: int, coords: NormalizedCoords) -> RIState:
-    """RI state of a 3(x)N system from its barycentric coordinates."""
+    """RI state of a 3(x)N system from its barycentric coordinates.
+
+    Valid by construction, so not checked again: coords has already refused
+    or clamped its point, each coefficient prefactor * coordinate is >= 0, and
+    as w_J times its prefactor is 1 the weighted total is within a few ulps
+    of 1.  Every 3(x)N `REEResult.minimizer` is built here.
+    """
+    N = _plain_n(N)
     if N < 3:
         raise ValueError("need N >= 3")
-    bary = (coords.ahat_lo, coords.ahat_mid, coords.ahat_hi)
-    raw = [p * c for p, c in zip(_prefactors(N), bary)]
-    return make_ri_state(Spin(2), Spin(N - 1), raw)
+    j2 = Spin(N - 1)
+    lo, mid, hi = _prefactors(N)
+    return RIState(AlphaVector._unchecked(
+        _SPIN_ONE, j2, (lo * coords.ahat_lo, mid * coords.ahat_mid, hi * coords.ahat_hi)))

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from ri_entropy.closed_form import (
     separability_threshold,
     state_2xn,
 )
-from ri_entropy.geometry import normalized_chart, ppt_polygon, region_polygons
+from ri_entropy.geometry import classify_region, normalized_chart, ppt_polygon, region_polygons
 from ri_entropy.oracle import minimize_kl_over_polygon
 from ri_entropy.states import (
+    AlphaVector,
     NormalizedCoords,
     RIState,
     kl_alpha,
@@ -82,8 +84,10 @@ class Test2xN:
         assert all(a >= b - 1e-14 for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            ree_2xn(Spin(1), 1.2)
+        for p in (1.2, -0.1, 1.1, math.nan):
+            for build in (ree_2xn, state_2xn):
+                with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {p}$"):
+                    build(Spin(1), p)
 
     def test_spin_zero_second_factor_rejected(self):
         # spin 1/2 (x) spin 0 has one coupled block, so there is no 2(x)N state
@@ -419,22 +423,17 @@ class TestDispatch:
             ree_dispatch(Spin(2), Spin(1), (1.0, 1.0))
 
 
-def _golden_records():
-    """repr((value, region, minimizer alphas, aux)) over a fixed seeded input set.
+def _golden_calls():
+    """(fn, args) of a fixed seeded input set.
 
     Inputs come from `random.Random`, whose stream does not depend on the
-    numpy version.  A refusal is recorded as its exception type and message.
+    numpy version.
     """
     rnd = random.Random(20261018)
-    records = []
+    calls = []
 
     def record(fn, *args):
-        try:
-            res = fn(*args)
-        except (ValueError, ArithmeticError) as exc:
-            records.append(repr((type(exc).__name__, str(exc))))
-        else:
-            records.append(repr((res.value, str(res.region), res.minimizer.alphas, res.aux)))
+        calls.append((fn, args))
 
     for tj in (1, 2, 3, 4, 7):
         j = Spin(tj)
@@ -473,6 +472,22 @@ def _golden_records():
         record(ree_dispatch, Spin(2), j2, tuple(c * p * (1 + 1e-9)
                                                 for c, p in zip((x, y, 1.0 - x - y), pre)))
         record(ree_dispatch, Spin(2), j2, (-1e-13, 0.5 * pre[1], 0.5 * pre[2]))
+    return calls
+
+
+def _golden_records():
+    """repr((value, region, minimizer alphas, aux)) of each golden call.
+
+    A refusal is recorded as its exception type and message.
+    """
+    records = []
+    for fn, args in _golden_calls():
+        try:
+            res = fn(*args)
+        except (ValueError, ArithmeticError) as exc:
+            records.append(repr((type(exc).__name__, str(exc))))
+        else:
+            records.append(repr((res.value, str(res.region), res.minimizer.alphas, res.aux)))
     return records
 
 
@@ -488,3 +503,128 @@ class TestGoldenValues:
         records = _golden_records()
         digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
         assert (len(records), digest) == (GOLDEN_COUNT, GOLDEN_SHA256)
+
+
+def _bits(alphas):
+    assert all(type(a) is float for a in alphas)
+    return tuple(a.hex() for a in alphas)
+
+
+def _centroids(N):
+    """The vertex mean of each region polygon."""
+    return [NormalizedCoords(sum(v.x for v in poly) / len(poly), sum(v.y for v in poly) / len(poly))
+            for _, poly in region_polygons(N)]
+
+
+def _edge_points(N):
+    """Chart landmarks and the ends and midpoint of each region edge, each also 1 ulp off."""
+    ch = normalized_chart(N)
+    points = {(v.x, v.y) for v in ch if v is not None}
+    for _, poly in region_polygons(N):
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            for x, y in ((a.x, a.y), ((a.x + b.x) / 2, (a.y + b.y) / 2)):
+                points.add((x, y))
+                for toward in (-math.inf, math.inf):
+                    points.add((math.nextafter(x, toward), y))
+                    points.add((x, math.nextafter(y, toward)))
+    # 1 ulp below 0 is within the simplex tolerance and is clamped
+    return [NormalizedCoords(x, y) for x, y in sorted(points)]
+
+
+VALID_BY_CONSTRUCTION_NS = (3, 4, 5, 6, 7, 101, 10**4 + 1, 10**8 + 1, 10**12 + 1)
+
+
+class TestValidByConstruction:
+    """normalized_to_raw and state_2xn build their vectors without a second validation."""
+
+    def test_closed_forms_validate_only_outside_vectors(self, monkeypatch):
+        runs = []
+        validate = AlphaVector.__post_init__
+
+        def counted(self):
+            runs.append(self)
+            validate(self)
+
+        monkeypatch.setattr(AlphaVector, "__post_init__", counted)
+
+        def runs_of(fn, *args):
+            runs.clear()
+            fn(*args)
+            return len(runs)
+
+        for N in (3, 4, 5, 6, 7, 10**8 + 1):
+            for coords in _centroids(N):
+                assert runs_of(ree_3xn, N, coords) == 0
+                raw = normalized_to_raw(N, coords).alphas()
+                assert runs_of(ree_dispatch, Spin(2), Spin(N - 1), raw) == 1
+        for tj in (1, 2, 7):
+            j = Spin(tj)
+            for p in (0.2, 0.99):
+                assert runs_of(ree_2xn, j, p) == 0
+                assert runs_of(ree_dispatch, Spin(1), j, state_2xn(j, p).alphas()) == 1
+
+    def test_3xn_builder_matches_make_ri_state(self):
+        golden = {}
+        for fn, args in _golden_calls():
+            if fn is ree_3xn:
+                golden.setdefault(args[0], []).append(args[1])
+        for N in VALID_BY_CONSTRUCTION_NS:
+            pre = (math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2)))
+            points = _edge_points(N) + golden.get(N, [])
+            # each point, and the minimizer the closed form builds for it
+            minimizers = [NormalizedCoords(*_value_in_region(N, c, classify_region(N, c))[1])
+                          for c in points]
+            for coords in points + minimizers:
+                built = normalized_to_raw(N, coords)
+                raw = tuple(p * c for p, c in zip(
+                    pre, (coords.ahat_lo, coords.ahat_mid, coords.ahat_hi)))
+                made = make_ri_state(Spin(2), Spin(N - 1), raw)
+                assert not made.renormalized
+                assert (built.j1, built.j2) == (made.j1, made.j2)
+                assert _bits(built.coeffs.alphas) == _bits(made.coeffs.alphas)
+                accepted = AlphaVector(Spin(2), Spin(N - 1), built.coeffs.alphas)
+                assert _bits(accepted.alphas) == _bits(built.coeffs.alphas)
+
+    def test_2xn_builder_matches_make_ri_state(self):
+        rnd = random.Random(7)
+        golden = {}
+        for fn, args in _golden_calls():
+            if fn is ree_2xn:
+                golden.setdefault(args[0].twice_j, []).append(args[1])
+        for tj in (1, 2, 3, 4, 7, 10**8):
+            j = Spin(tj)
+            pc = separability_threshold(j)
+            w = (math.sqrt(tj / (2 * tj + 2)), math.sqrt((tj + 2) / (2 * tj + 2)))
+            ps = [0.0, 1.0, pc, math.nextafter(pc, 0.0), math.nextafter(pc, 1.0),
+                  np.float64(0.3), *(rnd.random() for _ in range(50)), *golden.get(tj, [])]
+            for p in ps:
+                built = state_2xn(j, p)
+                made = make_ri_state(Spin(1), j, (p / w[0], (1.0 - p) / w[1]))
+                assert not made.renormalized
+                assert (built.j1, built.j2) == (made.j1, made.j2)
+                assert _bits(built.coeffs.alphas) == _bits(made.coeffs.alphas)
+                accepted = AlphaVector(Spin(1), j, built.coeffs.alphas)
+                assert _bits(accepted.alphas) == _bits(built.coeffs.alphas)
+                assert _bits(ree_2xn(j, p).minimizer.alphas) == _bits(
+                    state_2xn(j, min(p, pc)).coeffs.alphas)
+
+
+class TestNumpyIntegerN:
+    @pytest.mark.parametrize("N", [7, 10**8 + 1])
+    def test_numpy_integer_n_matches_int_n(self, N):
+        points = [NormalizedCoords(0.05, 0.9), *_centroids(N)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, n in ((ree_3xn_odd, N), (e_gamma_3xn_even, N - 1)):
+                for coords in points:
+                    by_int, by_numpy = fn(n, coords), fn(np.int64(n), coords)
+                    assert repr(by_numpy) == repr(by_int)
+                    assert type(by_numpy.minimizer.j2.twice_j) is int
+                    assert normalized_to_raw(np.int64(n), coords) == normalized_to_raw(n, coords)
+
+    def test_float_n_is_still_refused(self):
+        coords = NormalizedCoords(0.05, 0.9)
+        with pytest.raises(ValueError, match=r"^need integer N >= 3, got 7.0$"):
+            ree_3xn_odd(7.0, coords)
+        with pytest.raises(ValueError, match=r"^need integer N >= 3, got 8.0$"):
+            e_gamma_3xn_even(8.0, coords)

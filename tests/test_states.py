@@ -291,6 +291,13 @@ class TestNormalizedCoords:
         assert c.ahat_lo + c.ahat_mid == pytest.approx(1.0, abs=1e-15)
         assert c.ahat_lo / c.ahat_mid == pytest.approx(1 / 3, rel=1e-9)
 
+    @pytest.mark.parametrize("N, message", [
+        (2, "need N >= 3"), (5.0, "twice_j must be a non-negative integer, got 4.0")])
+    def test_normalized_to_raw_refuses_bad_n(self, N, message):
+        with pytest.raises(ValueError) as info:
+            normalized_to_raw(N, NormalizedCoords(0.25, 0.5))
+        assert str(info.value) == message
+
     def test_third_coordinate_is_never_negative(self):
         # 1.0 + 1e-17 rounds to 1.0, so no rescale happens; the rest is clamped
         c = NormalizedCoords(1.0, 1e-17)
