@@ -28,14 +28,14 @@ import math
 from dataclasses import dataclass
 
 from .angular import Spin
-from .geometry import Point2, Region, classify_region, normalized_chart
+from .geometry import Point2, Region, _normalized_chart, classify_region
 from .states import (
     AlphaVector,
     NormalizedCoords,
     RIState,
     _block_weights,
+    _check_n,
     _discrete_kl,
-    _plain_n,
     _prefactors,
     make_ri_state,
     normalized_to_raw,
@@ -168,7 +168,7 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
     evaluated under both adjacent formulas (continuity tests).
     """
     x, y = coords.ahat_lo, coords.ahat_mid
-    ch = normalized_chart(N)
+    ch = _normalized_chart(N)  # N already checked by the caller
     aux = None
 
     if region is Region.SEPARABLE:
@@ -234,7 +234,7 @@ def _raw_point(N: int, sigma) -> Point2:
 
 def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:
     """REE of a 3(x)N RI state, odd N >= 5."""
-    N = _plain_n(N)
+    N = _check_n(N)
     if N % 2 == 0 or N < 5:
         raise ValueError("need odd N >= 5 (use ree_3x3 / e_gamma_3xn_even otherwise)")
     return _ree_3xn(N, coords, "E_r")
@@ -242,7 +242,7 @@ def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:
 
 def e_gamma_3xn_even(N: int, coords: NormalizedCoords) -> REEResult:
     """E_Gamma (PPT-relative entropy, a lower bound of REE) for even N >= 4."""
-    N = _plain_n(N)
+    N = _check_n(N)
     if N % 2 or N < 4:
         raise ValueError("need even N >= 4")
     return _ree_3xn(N, coords, "E_Gamma")

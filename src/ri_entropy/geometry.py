@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import NormalizedCoords, _prefactors
+from .states import NormalizedCoords, _check_n, _prefactors
 
 __all__ = [
     "Point2",
@@ -56,21 +56,16 @@ class Region(enum.Enum):
         return self.value
 
 
-def _check_n(N: int, minimum: int = 3):
-    if not isinstance(N, (int, np.integer)) or N < minimum:
-        raise ValueError(f"need integer N >= {minimum}, got {N!r}")
-
-
 def simplex_vertices(N: int):
     """Raw alpha-vectors of the simplex vertices A, B, C."""
-    _check_n(N)
+    N = _check_n(N)
     B, C, A = np.diag(_prefactors(N))  # each vertex has one nonzero alpha
     return A, B, C
 
 
 def ppt_image_vertices(N: int):
     """Raw alpha-vectors of the partial-time-reversal images A', B', C'."""
-    _check_n(N)
+    N = _check_n(N)
     Ap = np.array([
         math.sqrt(3 * (N - 2) / N),
         2 * math.sqrt(3.0) / (N + 1),
@@ -91,7 +86,7 @@ def ppt_image_vertices(N: int):
 
 def ppt_polygon(N: int):
     """PPT polygon vertices (A, D, A', E) as raw Point2, counterclockwise."""
-    _check_n(N)
+    N = _check_n(N)
     A = Point2(0.0, 0.0)
     D = Point2((N - 1) / 2 * math.sqrt(3 / (N * (N - 2))), 0.0)
     Ap = Point2(math.sqrt(3 * (N - 2) / N), 2 * math.sqrt(3.0) / (N + 1))
@@ -101,7 +96,7 @@ def ppt_polygon(N: int):
 
 def landmark_points(N: int):
     """Raw coordinates of F (on BC), G and H (on the alpha_j = 0 edge)."""
-    _check_n(N, minimum=5)
+    N = _check_n(N, minimum=5)
     F = Point2((N - 3) / (N - 1) * math.sqrt(3 * N / (N - 2)),
                2 * math.sqrt(3.0) / (N - 1))
     G = Point2((N - 1) ** 2 * (N + 3) / (2 * (N * N - 5)) * math.sqrt(3 / (N * (N - 2))), 0.0)
@@ -128,13 +123,10 @@ def normalized_chart(N: int) -> NormalizedChart:
 
     Built once per N and shared: the result is an immutable tuple.
     """
-    _check_n(N)
-    return _normalized_chart(N)
+    return _normalized_chart(_check_n(N))
 
 
-# typed=True: a numpy-integer N yields numpy-float landmarks; keep them apart
-# from those of a plain int N
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def _normalized_chart(N: int) -> NormalizedChart:
     a = Point2(0.0, 0.0)
     b = Point2(1.0, 0.0)
@@ -159,11 +151,10 @@ def region_polygons(N: int):
     the vertices B and C in the regions the state-space figures assign
     them to).  Built once per N and shared: the result is an immutable tuple.
     """
-    _check_n(N)
-    return _region_polygons(N)
+    return _region_polygons(_check_n(N))
 
 
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def _region_polygons(N: int):
     ch = _normalized_chart(N)
     if N == 3:
@@ -193,9 +184,8 @@ _ROUNDING = 16 * 2.0 ** -53
 def _lines(N: int):
     """D-A', A'-E, A'-F, A'-H (at N = 3: A'-C, A'-B) as forms a x + b y = c.
 
-    Each is (ints, floats); built from int(N), as N^3 overflows int64 at 10^8.
+    Each is (ints, floats) of the checked int N, whose N^3 cannot overflow.
     """
-    N = int(N)
     return tuple((line, tuple(map(float, line))) for line in (
         (4 * N, -(N - 3) * (N + 1), 2 * (N - 1)),
         (N * (N - 3), (N - 2) * (N + 1), (N - 2) * (N - 1)),
@@ -219,7 +209,7 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     a value-neutral choice as the closed forms are continuous.  The simplex
     edges are not tested: a float point just past x + y = 1 falls beyond BC.
     """
-    _check_n(N)
+    N = _check_n(N)
     x, y = coords.ahat_lo, coords.ahat_mid
     (d, (ad, bd, cd)), (e, (ae, be, ce)), (f, (af, bf, cf)), (h, (ah, bh, ch)) = _lines(N)
     # each form is > 0 on B's side of its line (on C's side for A'-E, and for
@@ -251,7 +241,7 @@ def _shoelace(points) -> float:
 
 def polygon_area_ratio(N: int) -> float:
     """area(ADA'E) / area(ABC) in raw coordinates; tends to 1 as N grows."""
-    _check_n(N)
+    N = _check_n(N)
     bx, by, _ = _prefactors(N)
     triangle = [Point2(0.0, 0.0), Point2(bx, 0.0), Point2(0.0, by)]
     return _shoelace(ppt_polygon(N)) / _shoelace(triangle)

@@ -26,7 +26,7 @@ from .closed_form import (
     separability_threshold,
 )
 from .geometry import ppt_polygon
-from .states import NormalizedCoords, RIState, _prefactors, to_density
+from .states import NormalizedCoords, RIState, _check_n, _prefactors, to_density
 
 __all__ = [
     "MinimizationReport",
@@ -198,6 +198,7 @@ def minimize_kl_over_polygon(N: int, coords: NormalizedCoords, polygon=None,
     the PPT polygon ADA'E); the search runs in barycentric coordinates and
     `tol` bounds the final bracket in each edge's parameter s in [0, 1].
     """
+    N = _check_n(N)
     if polygon is None:
         polygon = ppt_polygon(N)
     poly = _normalized_polygon(N, polygon)
@@ -235,7 +236,7 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
         inputs = (ps,)
         param_out = j.j
     elif family in ("3x3", "3xN-odd", "3xN-even"):
-        N = 3 if family == "3x3" else int(param)
+        N = 3 if family == "3x3" else _check_n(param)
         if family == "3x3" and param not in (None, 3):
             raise ValueError("family 3x3 fixes N = 3")
         if family == "3xN-odd" and (N % 2 == 0 or N < 5):

@@ -280,6 +280,16 @@ def quantum_relative_entropy(a: DenseOperator, b: DenseOperator) -> float:
     return max(tr_a_ln_a - tr_a_ln_b, 0.0)
 
 
+def _check_n(N, minimum: int = 3) -> int:
+    """N of a 3(x)N system as an int, whose arithmetic cannot overflow.
+
+    An int or numpy integer >= `minimum` is accepted; anything else is refused.
+    """
+    if not isinstance(N, (int, np.integer)) or N < minimum:
+        raise ValueError(f"need integer N >= {minimum}, got {N!r}")
+    return int(N)
+
+
 @lru_cache(maxsize=256)
 def _prefactors(N: int) -> tuple[float, float, float]:
     """Raw alpha_{j-1}, alpha_j, alpha_{j+1} of the simplex vertices B, C, A of
@@ -299,11 +309,6 @@ def raw_to_normalized(state: RIState) -> NormalizedCoords:
     return NormalizedCoords(a[0] / pre[0], a[1] / pre[1])
 
 
-def _plain_n(N):
-    """A numpy-integer N as an int, whose arithmetic cannot overflow; any other N as given."""
-    return int(N) if isinstance(N, np.integer) else N
-
-
 _SPIN_ONE = Spin(2)
 
 
@@ -315,9 +320,7 @@ def normalized_to_raw(N: int, coords: NormalizedCoords) -> RIState:
     as w_J times its prefactor is 1 the weighted total is within a few ulps
     of 1.  Every 3(x)N `REEResult.minimizer` is built here.
     """
-    N = _plain_n(N)
-    if N < 3:
-        raise ValueError("need N >= 3")
+    N = _check_n(N)
     j2 = Spin(N - 1)
     lo, mid, hi = _prefactors(N)
     return RIState(AlphaVector._unchecked(

@@ -379,6 +379,9 @@ PINNED = [
      ', "oracle": {"value": 0.21642780227875158, "optimum_point"'
      ': [0.058110274248893722, 0.63438318097283686], "iterations": 44'
      ', "converged": true, "abs_diff": 2.7755575615628914e-17}}}\n', ""),
+    # N = 2 is refused with the message of every 3(x)N entry point
+    ("ree --j1 1 --j2 1/2 --normalized 0.2,0.3", 2, "",
+     "error: need integer N >= 3, got 2\n"),
     # a spin-0 second factor is refused like any j2 < j1, with exit code 2
     ("ree --j1 1/2 --j2 0 --p 0.5", 2, "", "error: expected j2 >= j1\n"),
     # p exactly at the 2(x)3 separability threshold 2/3

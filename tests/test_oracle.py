@@ -218,6 +218,12 @@ class TestVerifyClosedForm:
         with pytest.raises(ValueError):
             verify_closed_form("3xN-even", 7, samples=5, seed=0, tol=1e-6)
 
+    def test_numpy_integer_n_matches_int_n(self):
+        for family, N in (("3xN-odd", 7), ("3xN-even", 6)):
+            by_int = verify_closed_form(family, N, samples=10, seed=3, tol=1e-6)
+            by_numpy = verify_closed_form(family, np.int64(N), samples=10, seed=3, tol=1e-6)
+            assert repr(by_numpy) == repr(by_int)
+
 
 class TestIndependentRoute:
     """The oracle optimum is a dense relative entropy to a PPT state.

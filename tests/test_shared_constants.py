@@ -2,7 +2,6 @@
 
 import inspect
 
-import numpy as np
 import pytest
 
 from ri_entropy import angular, geometry, states
@@ -63,10 +62,3 @@ def test_invalid_n_is_refused_on_every_call(N):
                 build(N)
         with pytest.raises(ValueError, match="need integer N >= 3"):
             classify_region(N, NormalizedCoords(0.1, 0.1))
-
-
-def test_numpy_integer_n_keeps_its_own_entry():
-    # a numpy N gives numpy-float landmarks; a later plain-int call must not see them
-    assert isinstance(normalized_chart(np.int64(9)).d.x, np.floating)
-    assert type(normalized_chart(9).d.x) is float
-    assert normalized_chart(9) == normalized_chart(np.int64(9))

@@ -292,7 +292,10 @@ class TestNormalizedCoords:
         assert c.ahat_lo / c.ahat_mid == pytest.approx(1 / 3, rel=1e-9)
 
     @pytest.mark.parametrize("N, message", [
-        (2, "need N >= 3"), (5.0, "twice_j must be a non-negative integer, got 4.0")])
+        (2, "need integer N >= 3, got 2"), (5.0, "need integer N >= 3, got 5.0"),
+        (np.int64(2), f"need integer N >= 3, got {np.int64(2)!r}"),
+        ("5", "need integer N >= 3, got '5'"), (-1, "need integer N >= 3, got -1")],
+        ids=["2", "5.0", "np.int64(2)", "'5'", "-1"])
     def test_normalized_to_raw_refuses_bad_n(self, N, message):
         with pytest.raises(ValueError) as info:
             normalized_to_raw(N, NormalizedCoords(0.25, 0.5))
