@@ -175,8 +175,7 @@ def _oracle_report(state):
     if state.j1.twice_j == 1:
         return minimize_kl_over_interval(state.j2, p_of_state(state))
     if state.j1.twice_j == 2:
-        N = state.j2.dim
-        return minimize_kl_over_polygon(N, raw_to_normalized(state), ppt_polygon(N))
+        return minimize_kl_over_polygon(state.j2.dim, raw_to_normalized(state))
     raise UnsupportedFamilyError("oracle minimization is implemented for j1 in {1/2, 1} only")
 
 

@@ -33,12 +33,11 @@ from .states import (
     AlphaVector,
     NormalizedCoords,
     RIState,
+    _alpha_vector_3xn,
     _block_weights,
     _check_n,
     _discrete_kl,
-    _prefactors,
     make_ri_state,
-    normalized_to_raw,
     raw_to_normalized,
 )
 
@@ -121,7 +120,8 @@ def p_of_state(state: RIState) -> float:
     """Weight of the lower block of a 2(x)N state."""
     if state.j1.twice_j != 1:
         raise ValueError("not a 2(x)N state")
-    return _block_weights(1, state.j2.twice_j)[0][0] * state.coeffs.alphas[0]
+    # a weighted total accepted up to NORM_TOL above 1 may put w_0 alpha_0 above 1
+    return min(_block_weights(1, state.j2.twice_j)[0][0] * state.coeffs.alphas[0], 1.0)
 
 
 def ree_2xn(j: Spin, p: float) -> REEResult:
@@ -148,7 +148,7 @@ def ree_2xn(j: Spin, p: float) -> REEResult:
 
 def ree_3x3(coords: NormalizedCoords) -> REEResult:
     """REE of a two-spin-1 RI state from its barycentric coordinates."""
-    return _ree_3xn(3, coords, "E_r")
+    return _ree_3xn(3, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +163,15 @@ def _segment_root(c0: Point2, c1: Point2, s: float):
 def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
     """Closed form for a state evaluated under the formula of `region`.
 
-    Returns (value, sigma, aux) with sigma the minimizing barycentric
-    point.  The region is a parameter so that boundary points can be
-    evaluated under both adjacent formulas (continuity tests).
+    Returns (value, sigma, root): sigma, the minimizing barycentric point,
+    has sigma_x, sigma_y >= 0 and sigma_x + sigma_y <= 1 in floats, and root
+    is the (branch, root, t) of a flanking region, else None.  The region is
+    a parameter so that boundary points can be evaluated under both
+    adjacent formulas (continuity tests).
     """
     x, y = coords.ahat_lo, coords.ahat_mid
     ch = _normalized_chart(N)  # N already checked by the caller
-    aux = None
+    root = None
 
     if region is Region.SEPARABLE:
         return 0.0, (x, y), None
@@ -193,7 +195,7 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
         a = 2.0 * N * (N - 3) * x / (-t1 + math.sqrt(max(disc, 0.0)))
         s = min(max((N - 1) * a / (N - 3), 0.0), 1.0)
         sigma = _segment_root(ch.e, ch.a_prime, s)
-        aux = RootInfo("a", a, t1, _raw_point(N, sigma))
+        root = ("a", a, t1)
     elif region is Region.TRI_APRIME_DH:
         # minimizer on the edge DA' at s = u / ((N+3)(N-1)(N-3)), where
         # u = 2N(N^2-5) b - K, K = (N+3)(N-1)^2, for the larger root b of
@@ -209,27 +211,24 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
         u = 2.0 * gamma / (beta + sq) if beta > 0.0 else (sq - beta) / 2.0
         s = min(max(u / ((N + 3) * (N - 1) * (N - 3)), 0.0), 1.0)
         sigma = _segment_root(ch.d, ch.a_prime, s)
-        aux = RootInfo("b", (u + K) / M, t2, _raw_point(N, sigma))
+        root = ("b", (u + K) / M, t2)
     else:  # pragma: no cover
         raise ValueError(f"region {region} is not defined for N = {N}")
     # sigma is on the PPT polygon, where the third coordinate is at least that
     # of A', 2/(N(N+1)); near A' at large N, 1 - x - y rounds below it
     sz = max(1.0 - sigma[0] - sigma[1], 2.0 / N / (N + 1))
     value = _discrete_kl((x, y, coords.ahat_hi), (sigma[0], sigma[1], sz))
-    return value, sigma, aux
+    return value, sigma, root
 
 
-def _ree_3xn(N: int, coords: NormalizedCoords, quantity: str) -> REEResult:
+def _ree_3xn(N: int, coords: NormalizedCoords) -> REEResult:
+    """E_r (odd N) or E_Gamma (even N) of a checked int N; sigma needs no second check."""
     region = classify_region(N, coords)
-    value, sigma, aux = _value_in_region(N, coords, region)
-    minimizer = normalized_to_raw(N, NormalizedCoords(*sigma)).coeffs
+    value, sigma, root = _value_in_region(N, coords, region)
+    minimizer = _alpha_vector_3xn(N, sigma[0], sigma[1], max(1.0 - sigma[0] - sigma[1], 0.0))
+    aux = None if root is None else RootInfo(*root, Point2(*minimizer.alphas[:2]))
     return REEResult(value=value, region=region, minimizer=minimizer,
-                     quantity=quantity, aux=aux)
-
-
-def _raw_point(N: int, sigma) -> Point2:
-    pre = _prefactors(N)
-    return Point2(sigma[0] * pre[0], sigma[1] * pre[1])
+                     quantity="E_Gamma" if N % 2 == 0 else "E_r", aux=aux)
 
 
 def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:
@@ -237,7 +236,7 @@ def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:
     N = _check_n(N)
     if N % 2 == 0 or N < 5:
         raise ValueError("need odd N >= 5 (use ree_3x3 / e_gamma_3xn_even otherwise)")
-    return _ree_3xn(N, coords, "E_r")
+    return _ree_3xn(N, coords)
 
 
 def e_gamma_3xn_even(N: int, coords: NormalizedCoords) -> REEResult:
@@ -245,7 +244,7 @@ def e_gamma_3xn_even(N: int, coords: NormalizedCoords) -> REEResult:
     N = _check_n(N)
     if N % 2 or N < 4:
         raise ValueError("need even N >= 4")
-    return _ree_3xn(N, coords, "E_Gamma")
+    return _ree_3xn(N, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +264,7 @@ def _ree_of_state(state: RIState) -> REEResult:
     if j1.twice_j == 1:
         return ree_2xn(j2, p_of_state(state))
     if j1.twice_j == 2:
-        N = j2.dim
-        coords = raw_to_normalized(state)
-        if N == 3:
-            return ree_3x3(coords)
-        if N % 2:
-            return ree_3xn_odd(N, coords)
-        return e_gamma_3xn_even(N, coords)
+        return _ree_3xn(j2.dim, raw_to_normalized(state))
     raise UnsupportedFamilyError(
         f"no closed form for j1 = {j1.j}; only j1 in {{1/2, 1}} is supported "
         "(the oracle-only fallback --force-oracle is likewise restricted)")

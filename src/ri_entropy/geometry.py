@@ -149,13 +149,9 @@ def region_polygons(N: int):
     Ordered by the boundary tie-break priority: SEPARABLE > A'FCE >
     A'HBF > A'DH (for N = 3: SEPARABLE > A'CE > A'BD > A'BC, which keeps
     the vertices B and C in the regions the state-space figures assign
-    them to).  Built once per N and shared: the result is an immutable tuple.
+    them to).
     """
-    return _region_polygons(_check_n(N))
-
-
-@lru_cache(maxsize=256)
-def _region_polygons(N: int):
+    N = _check_n(N)
     ch = _normalized_chart(N)
     if N == 3:
         # degenerate landmarks: F = C, H = B

@@ -141,15 +141,15 @@ def _normalized_polygon(N: int, polygon) -> np.ndarray:
     return np.array([(p.x / bx, p.y / by) for p in polygon])
 
 
-def _inside_mask(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                 tol: float = 1e-12) -> np.ndarray:
-    """Vectorized membership in a counterclockwise convex polygon."""
+def _inside_mask(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Vectorized membership in a counterclockwise convex polygon, without a
+    tolerance: a point called outside is searched, which finds its value."""
     mask = np.ones_like(xs, dtype=bool)
     n = len(poly)
     for i in range(n):
         ox, oy = poly[i]
         qx, qy = poly[(i + 1) % n]
-        mask &= (qx - ox) * (ys - oy) - (qy - oy) * (xs - ox) >= -tol
+        mask &= (qx - ox) * (ys - oy) - (qy - oy) * (xs - ox) >= 0.0
     return mask
 
 
@@ -190,20 +190,15 @@ def _polygon_search(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float
     return xs_opt, ys_opt, vals, steps, widths
 
 
-def minimize_kl_over_polygon(N: int, coords: NormalizedCoords, polygon=None,
+def minimize_kl_over_polygon(N: int, coords: NormalizedCoords,
                              tol: float = _POLYGON_TOL) -> MinimizationReport:
-    """Minimize KL(rho || sigma) over sigma in a convex polygon.
+    """Minimize KL(rho || sigma) over sigma in the PPT polygon ADA'E.
 
-    `polygon` is a counterclockwise list of raw Point2 vertices (default:
-    the PPT polygon ADA'E); the search runs in barycentric coordinates and
-    `tol` bounds the final bracket in each edge's parameter s in [0, 1].
+    The search runs in barycentric coordinates and `tol` bounds the final
+    bracket in each edge's parameter s in [0, 1].
     """
     N = _check_n(N)
-    if polygon is None:
-        polygon = ppt_polygon(N)
-    poly = _normalized_polygon(N, polygon)
-    if len(poly) < 3:
-        raise ValueError("degenerate polygon")
+    poly = _normalized_polygon(N, ppt_polygon(N))
     x, y, val, steps, width = _polygon_search(
         poly, np.array([coords.ahat_lo]), np.array([coords.ahat_mid]), tol)
     return MinimizationReport(optimum_value=float(val[0]),

@@ -104,7 +104,7 @@ class AlphaVector:
         """An AlphaVector stored as given, without the checks of __post_init__.
 
         Only for builders whose own checked inputs make the vector valid by
-        construction (`normalized_to_raw`, `closed_form.state_2xn`): j2 >= j1,
+        construction (`_alpha_vector_3xn`, `closed_form.state_2xn`): j2 >= j1,
         one finite float >= 0 per block and a weighted total within a few ulps
         of 1, so that __post_init__ would store the same floats.
         """
@@ -312,16 +312,22 @@ def raw_to_normalized(state: RIState) -> NormalizedCoords:
 _SPIN_ONE = Spin(2)
 
 
+def _alpha_vector_3xn(N: int, lo: float, mid: float, hi: float) -> AlphaVector:
+    """Alpha-vector of the barycentric point (lo, mid, hi) of a 3(x)N system.
+
+    Valid by construction for an int N >= 3 and lo, mid, hi >= 0 summing to 1
+    up to rounding: w_J times its prefactor is 1, so the weighted total is
+    within a few ulps of 1.
+    """
+    p_lo, p_mid, p_hi = _prefactors(N)
+    return AlphaVector._unchecked(_SPIN_ONE, Spin(N - 1), (p_lo * lo, p_mid * mid, p_hi * hi))
+
+
 def normalized_to_raw(N: int, coords: NormalizedCoords) -> RIState:
     """RI state of a 3(x)N system from its barycentric coordinates.
 
-    Valid by construction, so not checked again: coords has already refused
-    or clamped its point, each coefficient prefactor * coordinate is >= 0, and
-    as w_J times its prefactor is 1 the weighted total is within a few ulps
-    of 1.  Every 3(x)N `REEResult.minimizer` is built here.
+    Valid by construction (`_alpha_vector_3xn`): coords has already refused
+    or clamped its point.
     """
-    N = _check_n(N)
-    j2 = Spin(N - 1)
-    lo, mid, hi = _prefactors(N)
-    return RIState(AlphaVector._unchecked(
-        _SPIN_ONE, j2, (lo * coords.ahat_lo, mid * coords.ahat_mid, hi * coords.ahat_hi)))
+    return RIState(_alpha_vector_3xn(
+        _check_n(N), coords.ahat_lo, coords.ahat_mid, coords.ahat_hi))

@@ -24,7 +24,6 @@ from ri_entropy.geometry import (
     normalized_chart,
     polygon_area_ratio,
     ppt_image_vertices,
-    ppt_polygon,
     simplex_vertices,
 )
 from ri_entropy.oracle import (
@@ -126,7 +125,7 @@ def test_criterion_5_spot_values(capsys):
     for label, res, N, expected in cases:
         coords = (NormalizedCoords(0.0, 1.0) if "C" in label
                   else NormalizedCoords(1.0, 0.0))
-        orac = minimize_kl_over_polygon(N, coords, ppt_polygon(N)).optimum_value
+        orac = minimize_kl_over_polygon(N, coords).optimum_value
         closed_ok = abs(res.value - expected) <= 1e-10
         oracle_ok = abs(orac - expected) <= 1e-6
         ok = ok and closed_ok and oracle_ok

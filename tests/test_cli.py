@@ -391,6 +391,41 @@ PINNED = [
      ', "oracle": false, "force_oracle": false}, "result": {"quantity": "E_r"'
      ', "value": 0, "region": "SEPARABLE_ADA\'E", "minimizer_alphas"'
      ': [1.1547005383792515, 0.40824829046386307], "aux": null}}\n', ""),
+    # the oracle alone, for a 2(x)N and a 3(x)N state
+    ("ree --j1 1/2 --j2 1 --p 0.9 --force-oracle", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1/2"'
+     ', "j2": "1", "p": 0.90000000000000002, "alpha": null, "normalized": null'
+     ', "oracle": false, "force_oracle": true}, "result": {"quantity": "oracle_min"'
+     ', "value": 0.14969685277271072, "optimum_point": [0.66666666666666663]'
+     ', "iterations": 48, "converged": true}}\n', ""),
+    ("ree --j1 1 --j2 2 --normalized 0.9,0.05 --force-oracle", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
+     ', "j2": "2", "p": null, "alpha": null, "normalized": "0.9,0.05"'
+     ', "oracle": false, "force_oracle": true}, "result": {"quantity": "oracle_min"'
+     ', "value": 0.25527460072161184, "optimum_point": [0.59663503612400159'
+     ', 0.32772506020666936], "iterations": 44, "converged": true}}\n', ""),
+    # a weighted total 5e-11 above 1 is accepted as given: p = w_0 alpha_0 is
+    # taken as 1 by the closed form and by both oracle routes
+    ("ree --j1 1/2 --j2 1/2 --alpha 2.0000000001,0", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1/2"'
+     ', "j2": "1/2", "p": null, "alpha": "2.0000000001,0", "normalized": null'
+     ', "oracle": false, "force_oracle": false}, "result": {"quantity": "E_r"'
+     ', "value": 0.69314718055994529, "region": "ENTANGLED_INTERVAL"'
+     ', "minimizer_alphas": [1, 0.57735026918962584], "aux": null}}\n', ""),
+    ("ree --j1 1/2 --j2 1/2 --alpha 2.0000000001,0 --oracle", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1/2"'
+     ', "j2": "1/2", "p": null, "alpha": "2.0000000001,0", "normalized": null'
+     ', "oracle": true, "force_oracle": false}, "result": {"quantity": "E_r"'
+     ', "value": 0.69314718055994529, "region": "ENTANGLED_INTERVAL"'
+     ', "minimizer_alphas": [1, 0.57735026918962584], "aux": null'
+     ', "oracle": {"value": 0.69314718055994529, "optimum_point": [0.5]'
+     ', "iterations": 47, "converged": true, "abs_diff": 0}}}\n', ""),
+    ("ree --j1 1/2 --j2 1/2 --alpha 2.0000000001,0 --force-oracle", 0,
+     '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1/2"'
+     ', "j2": "1/2", "p": null, "alpha": "2.0000000001,0", "normalized": null'
+     ', "oracle": false, "force_oracle": true}, "result": {"quantity": "oracle_min"'
+     ', "value": 0.69314718055994529, "optimum_point": [0.5], "iterations": 47'
+     ', "converged": true}}\n', ""),
 ]
 
 

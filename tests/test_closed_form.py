@@ -24,8 +24,8 @@ from ri_entropy.closed_form import (
     separability_threshold,
     state_2xn,
 )
-from ri_entropy.geometry import classify_region, normalized_chart, ppt_polygon, region_polygons
-from ri_entropy.oracle import minimize_kl_over_polygon
+from ri_entropy.geometry import classify_region, normalized_chart, region_polygons
+from ri_entropy.oracle import minimize_kl_over_interval, minimize_kl_over_polygon
 from ri_entropy.states import (
     AlphaVector,
     NormalizedCoords,
@@ -214,25 +214,23 @@ class Test3xNOdd:
     def test_bc_edge_matches_oracle_n5(self):
         """E_r along edge BC (the A'FCE stretch) agrees with the oracle,
         confirming the root-based formula against the worked 3(x)5 case."""
-        poly = ppt_polygon(5)
         x_f = 2 / 4  # barycentric x of F for N = 5 is (N-3)/(N-1) = 1/2
         for s in np.linspace(0.0, 1.0, 9):
             x = s * x_f
             coords = NormalizedCoords(x, 1.0 - x)  # on segment CB
             res = ree_3xn_odd(5, coords)
             assert res.region is Region.POLY_APRIME_FCE
-            orac = minimize_kl_over_polygon(5, coords, poly).optimum_value
+            orac = minimize_kl_over_polygon(5, coords).optimum_value
             assert res.value == pytest.approx(orac, abs=1e-6)
 
     def test_ab_edge_matches_oracle_n5(self):
         """E_r along the alpha_j = 0 edge (the A'DH stretch) agrees with the
         oracle, confirming the b-root formula against the worked case."""
         ch = normalized_chart(5)
-        poly = ppt_polygon(5)
         for x in np.linspace(ch.d.x + 1e-6, 1.0, 9):
             coords = NormalizedCoords(x, 0.0)
             res = ree_3xn(5, coords)
-            orac = minimize_kl_over_polygon(5, coords, poly).optimum_value
+            orac = minimize_kl_over_polygon(5, coords).optimum_value
             assert res.value == pytest.approx(orac, abs=1e-6)
 
 
@@ -245,7 +243,7 @@ class Test3xNEven:
     def test_vertex_c_n6_matches_oracle(self):
         coords = NormalizedCoords(0.0, 1.0)
         res = e_gamma_3xn_even(6, coords)
-        orac = minimize_kl_over_polygon(6, coords, ppt_polygon(6)).optimum_value
+        orac = minimize_kl_over_polygon(6, coords).optimum_value
         assert res.value == pytest.approx(orac, abs=1e-6)
 
     def test_separable_zero(self):
@@ -421,6 +419,20 @@ class TestDispatch:
     def test_swapped_spins_rejected(self):
         with pytest.raises(ValueError):
             ree_dispatch(Spin(2), Spin(1), (1.0, 1.0))
+
+    @pytest.mark.parametrize("tj", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [5e-11, 9e-11])
+    def test_2xn_total_just_above_one_is_accepted(self, tj, eps):
+        """A weighted total up to NORM_TOL above 1 is kept as given, so w_0 alpha_0
+        may exceed 1; p is taken as 1, and neither route refuses the state."""
+        j = Spin(tj)
+        alphas = ((1.0 + eps) / math.sqrt(tj / (2 * tj + 2)), 0.0)
+        state = make_ri_state(Spin(1), j, alphas)
+        assert not state.renormalized and p_of_state(state) == 1.0
+        res = ree_dispatch(Spin(1), j, alphas)
+        assert res.value == ree_2xn(j, 1.0).value == math.log((tj + 1) / tj)
+        orac = minimize_kl_over_interval(j, p_of_state(state)).optimum_value
+        assert res.value == pytest.approx(orac, abs=1e-9)
 
 
 def _golden_calls():
@@ -607,6 +619,83 @@ class TestValidByConstruction:
                 assert _bits(accepted.alphas) == _bits(built.coeffs.alphas)
                 assert _bits(ree_2xn(j, p).minimizer.alphas) == _bits(
                     state_2xn(j, min(p, pc)).coeffs.alphas)
+
+
+def _near_a_prime(N):
+    """Points 2^-k of the way from A' to each end of its four lines, and as far
+    beyond A', each also 1 ulp off in x and in y; those NormalizedCoords takes."""
+    ch = normalized_chart(N)
+    ap = ch.a_prime
+    points = set()
+    for end in (ch.d, ch.e, ch.f or ch.c, ch.h or ch.b):
+        for sign in (1.0, -1.0):
+            for k in range(0, 110, 3):
+                t = sign * 2.0 ** -k
+                x, y = ap.x + t * (end.x - ap.x), ap.y + t * (end.y - ap.y)
+                for dx in (-math.inf, 0.0, math.inf):
+                    for dy in (-math.inf, 0.0, math.inf):
+                        points.add((math.nextafter(x, dx) if dx else x,
+                                    math.nextafter(y, dy) if dy else y))
+    out = []
+    for x, y in sorted(points):
+        try:
+            out.append(NormalizedCoords(x, y))
+        except ValueError:  # beyond A' and past the simplex by more than NORM_TOL
+            pass
+    return out
+
+
+MINIMIZER_NS = (3, 4, 5, 7, 101, 10**4 + 1, 10**8 + 1, 10**12 + 1, 10**20 + 1, 10**30 + 1)
+
+
+class TestMinimizerBuiltOnce:
+    """The 3(x)N closed forms build each minimizer once, from the sigma of
+    _value_in_region, without checking that point again as a NormalizedCoords."""
+
+    @pytest.mark.parametrize("N", MINIMIZER_NS)
+    def test_sigma_is_inside_the_simplex(self, N):
+        # why dropping the re-check is safe: NormalizedCoords leaves such a
+        # point as it is, so the minimizer is the one the re-check built
+        for coords in _edge_points(N) + _near_a_prime(N):
+            sx, sy = _value_in_region(N, coords, classify_region(N, coords))[1]
+            assert sx >= 0.0 and sy >= 0.0 and sx + sy <= 1.0
+            res = ree_3xn(N, coords)
+            rewrapped = normalized_to_raw(N, NormalizedCoords(sx, sy)).coeffs
+            assert _bits(res.minimizer.alphas) == _bits(rewrapped.alphas)
+
+    def test_no_coords_check_inside_the_closed_forms(self, monkeypatch):
+        runs = []
+        check = NormalizedCoords.__post_init__
+
+        def counted(self):
+            runs.append(self)
+            check(self)
+
+        def runs_of(fn, *args):
+            runs.clear()
+            fn(*args)
+            return len(runs)
+
+        cases = []
+        for N in (3, 4, 5, 7, 10**8 + 1, 10**12 + 1):
+            points = _centroids(N) + _edge_points(N)
+            assert {ree_3xn(N, c).region for c in points} == {r for r, _ in region_polygons(N)}
+            cases += [(N, c, normalized_to_raw(N, c).alphas()) for c in points]
+        monkeypatch.setattr(NormalizedCoords, "__post_init__", counted)
+        for N, coords, raw in cases:
+            assert runs_of(ree_3xn, N, coords) == 0
+            # only the conversion of the input vector
+            assert runs_of(ree_dispatch, Spin(2), Spin(N - 1), raw) == 1
+
+    @pytest.mark.parametrize("N", MINIMIZER_NS)
+    def test_aux_point_is_the_minimizer(self, N):
+        flanking = 0
+        for coords in _edge_points(N) + _near_a_prime(N) + _centroids(N):
+            res = ree_3xn(N, coords)
+            if res.aux is not None:
+                flanking += 1
+                assert _bits(res.aux.minimizer_point) == _bits(res.minimizer.alphas[:2])
+        assert flanking > 0 or N == 3
 
 
 class TestNumpyIntegerN:

@@ -70,7 +70,6 @@ def test_numpy_integer_n_matches_int_n(N):
 
 def test_numpy_integer_n_shares_the_int_entry():
     assert normalized_chart(np.int64(9)) is normalized_chart(9)
-    assert region_polygons(np.int64(9)) is region_polygons(9)
 
 
 COORDS = NormalizedCoords(0.25, 0.5)

@@ -11,7 +11,9 @@ from ri_entropy.angular import Spin
 from ri_entropy.closed_form import ree_2xn, ree_3xn_odd, state_2xn
 from ri_entropy.geometry import ppt_polygon, simplex_vertices
 from ri_entropy.oracle import (
+    _POLYGON_TOL,
     CAMPAIGNS,
+    _inside_mask,
     _interval_search,
     _normalized_polygon,
     _polygon_search,
@@ -123,21 +125,34 @@ class TestPolygonOracle:
         # optimum at A' = ((N-2)/N, 2/(N+1)) = (3/5, 1/3)
         assert report.optimum_point == pytest.approx((0.6, 1 / 3), abs=1e-5)
 
-    def test_degenerate_polygon_rejected(self):
-        from ri_entropy.geometry import Point2
-        with pytest.raises(ValueError):
-            minimize_kl_over_polygon(5, NormalizedCoords(0.5, 0.2),
-                                     [Point2(0.0, 0.0), Point2(1.0, 0.0)])
+    @pytest.mark.parametrize("N", [7, 10**8 + 1])
+    def test_points_just_outside_an_edge_are_searched(self, N):
+        """A state 1e-13 to 1e-11 outside D-A' or A'-E is not taken as its own
+        minimizer, so the oracle meets the closed form at every N (an absolute
+        1e-12 tolerance called half of them inside, value 0)."""
+        poly = _normalized_polygon(N, ppt_polygon(N))
+        pts = []
+        for i in (1, 2):  # the edges D-A' and A'-E, the two inside the simplex
+            (ox, oy), (qx, qy) = poly[i], poly[(i + 1) % len(poly)]
+            length = math.hypot(qx - ox, qy - oy)
+            nx, ny = (qy - oy) / length, -(qx - ox) / length  # outward, as poly is counterclockwise
+            for f in np.linspace(0.01, 0.99, 50):
+                for d in (1e-13, 1e-12, 1e-11):
+                    pts.append((ox + f * (qx - ox) + d * nx, oy + f * (qy - oy) + d * ny))
+        xs, ys = (np.array(c) for c in zip(*pts))
+        assert not _inside_mask(poly, xs, ys).any()
+        orac = _polygon_search(poly, xs, ys, _POLYGON_TOL)[2]
+        closed = [ree_3xn_odd(N, NormalizedCoords(x, y)).value for x, y in pts]
+        assert np.abs(orac - closed).max() <= 1e-15
 
     @pytest.mark.parametrize("N", [3, 5, 4])
     def test_one_sided_slack_vs_closed_form(self, N):
         """The oracle never undercuts the closed form by more than 1e-9 and
         never exceeds it by more than 1e-6."""
         from tests.test_closed_form import ree_3xn, simplex_samples
-        poly = ppt_polygon(N)
         for coords in simplex_samples(40, seed=900 + N):
             closed = ree_3xn(N, coords).value
-            orac = minimize_kl_over_polygon(N, coords, poly).optimum_value
+            orac = minimize_kl_over_polygon(N, coords).optimum_value
             assert orac >= closed - 1e-9
             assert orac <= closed + 1e-6
 

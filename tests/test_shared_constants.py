@@ -10,8 +10,7 @@ from ri_entropy.geometry import classify_region, normalized_chart, region_polygo
 from ri_entropy.states import NormalizedCoords, block_weights
 
 BUILDERS = [angular._coupling_range, angular._projector, states._block_weights,
-            states._prefactors, geometry._normalized_chart, geometry._region_polygons,
-            geometry._lines]
+            states._prefactors, geometry._normalized_chart, geometry._lines]
 
 
 def test_block_weights_are_read_only():
@@ -25,7 +24,6 @@ def test_block_weights_are_read_only():
     (coupling_range, (Spin(2), Spin(4))),
     (block_weights, (Spin(1), Spin(7))),
     (normalized_chart, (7,)),
-    (region_polygons, (6,)),
 ])
 def test_repeated_calls_share_one_object(build, args):
     assert build(*args) is build(*args)
