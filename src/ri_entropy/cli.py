@@ -150,25 +150,22 @@ def cmd_ree(args) -> int:
                "oracle": bool(args.oracle), "force_oracle": bool(args.force_oracle)}
 
     if args.force_oracle:
-        report = _oracle_report(state)
-        result = {"quantity": "oracle_min", "value": report.optimum_value,
-                  "optimum_point": list(report.optimum_point),
-                  "iterations": report.iterations, "converged": report.converged}
+        result = {"quantity": "oracle_min", **_report_payload(_oracle_report(state))}
     else:
         res = _ree_of_state(state)
         result = _result_payload(res)
         if args.oracle:
             report = _oracle_report(state)
-            result["oracle"] = {
-                "value": report.optimum_value,
-                "optimum_point": list(report.optimum_point),
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "abs_diff": abs(report.optimum_value - res.value),
-            }
+            result["oracle"] = {**_report_payload(report),
+                                "abs_diff": abs(report.optimum_value - res.value)}
 
     _emit(_record(command, result), args.format)
     return EXIT_OK
+
+
+def _report_payload(report) -> dict:
+    return {"value": report.optimum_value, "optimum_point": list(report.optimum_point),
+            "iterations": report.iterations, "converged": report.converged}
 
 
 def _oracle_report(state):
@@ -213,11 +210,7 @@ def cmd_curve(args) -> int:
     js = [Spin.of(tok) for tok in args.j_list.split(",")]
     if args.points < 2:
         raise ValueError("--points must be at least 2")
-    try:
-        out = open(args.out, "w", newline="")
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
-    with out:
+    with open(args.out, "w", newline="") as out:
         out.write("p,j,E_r\n")
         for j in js:
             for k in range(args.points):
@@ -225,10 +218,6 @@ def cmd_curve(args) -> int:
                 val = ree_2xn(j, p).value
                 out.write(f"{format(p, '.17g')},{format_spin(j)},{format(val, '.17g')}\n")
     return EXIT_OK
-
-
-class _IOFailure(OSError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +342,6 @@ def main(argv=None) -> int:
     except UnsupportedFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except _IOFailure as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

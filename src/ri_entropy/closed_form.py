@@ -163,18 +163,19 @@ def _segment_root(c0: Point2, c1: Point2, s: float):
 def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
     """Closed form for a state evaluated under the formula of `region`.
 
-    Returns (value, sigma, root): sigma, the minimizing barycentric point,
-    has sigma_x, sigma_y >= 0 and sigma_x + sigma_y <= 1 in floats, and root
-    is the (branch, root, t) of a flanking region, else None.  The region is
-    a parameter so that boundary points can be evaluated under both
-    adjacent formulas (continuity tests).
+    Returns (value, sigma, root): sigma = (sigma_x, sigma_y, sigma_z), the
+    minimizing barycentric point, has sigma_x, sigma_y >= 0 and
+    sigma_x + sigma_y <= 1 in floats, and its sigma_z is the one the value
+    is taken against; root is the (branch, root, t) of a flanking region,
+    else None.  The region is a parameter so that boundary points can be
+    evaluated under both adjacent formulas (continuity tests).
     """
     x, y = coords.ahat_lo, coords.ahat_mid
     ch = _normalized_chart(N)  # N already checked by the caller
     root = None
 
     if region is Region.SEPARABLE:
-        return 0.0, (x, y), None
+        return 0.0, (x, y, coords.ahat_hi), None
     if region is Region.TRI_APRIME_CE:
         # N = 3: project from C onto the line EA' (sigma_y = 1/2)
         sigma = (x / (2.0 * (1.0 - y)) if y < 1.0 else 0.0, 0.5)
@@ -216,16 +217,15 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
         raise ValueError(f"region {region} is not defined for N = {N}")
     # sigma is on the PPT polygon, where the third coordinate is at least that
     # of A', 2/(N(N+1)); near A' at large N, 1 - x - y rounds below it
-    sz = max(1.0 - sigma[0] - sigma[1], 2.0 / N / (N + 1))
-    value = _discrete_kl((x, y, coords.ahat_hi), (sigma[0], sigma[1], sz))
-    return value, sigma, root
+    sigma = (*sigma, max(1.0 - sigma[0] - sigma[1], 2.0 / N / (N + 1)))
+    return _discrete_kl((x, y, coords.ahat_hi), sigma), sigma, root
 
 
 def _ree_3xn(N: int, coords: NormalizedCoords) -> REEResult:
     """E_r (odd N) or E_Gamma (even N) of a checked int N; sigma needs no second check."""
     region = classify_region(N, coords)
     value, sigma, root = _value_in_region(N, coords, region)
-    minimizer = _alpha_vector_3xn(N, sigma[0], sigma[1], max(1.0 - sigma[0] - sigma[1], 0.0))
+    minimizer = _alpha_vector_3xn(N, *sigma)
     aux = None if root is None else RootInfo(*root, Point2(*minimizer.alphas[:2]))
     return REEResult(value=value, region=region, minimizer=minimizer,
                      quantity="E_Gamma" if N % 2 == 0 else "E_r", aux=aux)

@@ -227,17 +227,11 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     return Region.TRI_APRIME_BD if sd >= 0 >= sh else Region.TRI_APRIME_BC
 
 
-def _shoelace(points) -> float:
-    area = 0.0
-    for i in range(len(points)):
-        p, q = points[i], points[(i + 1) % len(points)]
-        area += p.x * q.y - q.x * p.y
-    return abs(area) / 2.0
-
-
 def polygon_area_ratio(N: int) -> float:
-    """area(ADA'E) / area(ABC) in raw coordinates; tends to 1 as N grows."""
+    """area(ADA'E) / area(ABC), (N-1)^2 / (N(N+1)) correctly rounded; tends to 1 as N grows.
+
+    The map from barycentric to raw coordinates is diagonal, so it keeps area
+    ratios; in barycentric units ABC has area 1/2 and ADA'E (N-1)^2 / (2N(N+1)).
+    """
     N = _check_n(N)
-    bx, by, _ = _prefactors(N)
-    triangle = [Point2(0.0, 0.0), Point2(bx, 0.0), Point2(0.0, by)]
-    return _shoelace(ppt_polygon(N)) / _shoelace(triangle)
+    return (N - 1) ** 2 / (N * (N + 1))  # int / int rounds once

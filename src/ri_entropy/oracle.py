@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import Spin, partial_time_reversal
-from .closed_form import (
-    e_gamma_3xn_even,
-    ree_2xn,
-    ree_3x3,
-    ree_3xn_odd,
-    separability_threshold,
-)
+from .closed_form import _ree_3xn, ree_2xn, separability_threshold
 from .geometry import ppt_polygon
 from .states import NormalizedCoords, RIState, _check_n, _prefactors, to_density
 
@@ -40,8 +34,8 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_STEPS = 200  # 0.618**200 ~ 1e-42: reached only when rounding stalls a bracket above tol
-_INTERVAL_TOL = 1e-10
-_POLYGON_TOL = 1e-9
+_INTERVAL_TOL = 1e-10  # final bracket width in q of the 2(x)N search
+_POLYGON_TOL = 1e-9    # final bracket width in the edge parameter s of the 3(x)N search
 
 # (family, param) of the closed-form-vs-oracle campaign over every family
 CAMPAIGNS = (("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),
@@ -92,8 +86,6 @@ def _golden_section(f, lo, hi, tol: float):
     (points, values, steps, final widths); each point is the best of the
     final bracket and the original endpoints, ties going to the smaller.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     lo0, hi0 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     lo, hi = lo0, hi0
     x1 = hi - _INVPHI * (hi - lo)
@@ -126,13 +118,13 @@ def _interval_search(j: Spin, ps: np.ndarray, tol: float):
     return _golden_section(lambda q: _kl((ps, 1.0 - ps), (q, 1.0 - q)), lo, hi, tol)
 
 
-def minimize_kl_over_interval(j: Spin, p: float,
-                              tol: float = _INTERVAL_TOL) -> MinimizationReport:
-    """Golden-section minimization of KL(p || q) over q in [0, 2j/(2j+1)]."""
-    q, val, steps, width = _interval_search(j, np.array([float(p)]), tol)
+def minimize_kl_over_interval(j: Spin, p: float) -> MinimizationReport:
+    """Golden-section minimization of KL(p || q) over q in [0, 2j/(2j+1)],
+    to a final bracket of `_INTERVAL_TOL` in q."""
+    q, val, steps, width = _interval_search(j, np.array([float(p)]), _INTERVAL_TOL)
     return MinimizationReport(optimum_value=float(val[0]), optimum_point=(float(q[0]),),
                               iterations=steps, final_box_size=float(width[0]),
-                              converged=bool(width[0] <= tol))
+                              converged=bool(width[0] <= _INTERVAL_TOL))
 
 
 def _normalized_polygon(N: int, polygon) -> np.ndarray:
@@ -190,21 +182,20 @@ def _polygon_search(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float
     return xs_opt, ys_opt, vals, steps, widths
 
 
-def minimize_kl_over_polygon(N: int, coords: NormalizedCoords,
-                             tol: float = _POLYGON_TOL) -> MinimizationReport:
+def minimize_kl_over_polygon(N: int, coords: NormalizedCoords) -> MinimizationReport:
     """Minimize KL(rho || sigma) over sigma in the PPT polygon ADA'E.
 
-    The search runs in barycentric coordinates and `tol` bounds the final
-    bracket in each edge's parameter s in [0, 1].
+    The search runs in barycentric coordinates and `_POLYGON_TOL` bounds the
+    final bracket in each edge's parameter s in [0, 1].
     """
     N = _check_n(N)
     poly = _normalized_polygon(N, ppt_polygon(N))
     x, y, val, steps, width = _polygon_search(
-        poly, np.array([coords.ahat_lo]), np.array([coords.ahat_mid]), tol)
+        poly, np.array([coords.ahat_lo]), np.array([coords.ahat_mid]), _POLYGON_TOL)
     return MinimizationReport(optimum_value=float(val[0]),
                               optimum_point=(float(x[0]), float(y[0])),
                               iterations=int(steps[0]), final_box_size=float(width[0]),
-                              converged=bool(width[0] <= tol))
+                              converged=bool(width[0] <= _POLYGON_TOL))
 
 
 def ppt_min_eigenvalue(state: RIState) -> float:
@@ -218,8 +209,10 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
     """Compare the closed form against the oracle on seeded uniform samples.
 
     Families: "2xN" (param = j), "3x3", "3xN-odd", "3xN-even" (param = N).
-    The oracle runs on all samples as one batch; 3(x)N samples are uniform
-    on the simplex via sorted uniform spacings.
+    The family and N are checked once per campaign; each 3(x)N sample then
+    goes straight to the closed form of that N.  The oracle runs on all
+    samples as one batch; 3(x)N samples are uniform on the simplex via
+    sorted uniform spacings.
     """
     rng = np.random.default_rng(seed)
 
@@ -238,12 +231,9 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
             raise ValueError("family 3xN-odd needs odd N >= 5")
         if family == "3xN-even" and (N % 2 or N < 4):
             raise ValueError("family 3xN-even needs even N >= 4")
-        closed_fn = {"3x3": lambda c: ree_3x3(c),
-                     "3xN-odd": lambda c: ree_3xn_odd(N, c),
-                     "3xN-even": lambda c: e_gamma_3xn_even(N, c)}[family]
         u = np.sort(rng.random((samples, 2)), axis=1)
         xs, ys = u[:, 0], u[:, 1] - u[:, 0]
-        closed = np.array([closed_fn(NormalizedCoords(x, y)).value for x, y in zip(xs, ys)])
+        closed = np.array([_ree_3xn(N, NormalizedCoords(x, y)).value for x, y in zip(xs, ys)])
         poly = _normalized_polygon(N, ppt_polygon(N))
         orac = _polygon_search(poly, xs, ys, _POLYGON_TOL)[2]
         inputs = (xs, ys)

@@ -169,9 +169,9 @@ class TestCurve:
                 assert v1 >= v2 - 1e-14 >= v3 - 2e-14
 
     def test_unwritable_path(self, capsys, tmp_path):
-        code, _, err = run(capsys, "curve", "--out",
-                           str(tmp_path / "missing" / "curves.csv"))
-        assert code == EXIT_IO and "I/O" in err
+        path = tmp_path / "missing" / "x.csv"
+        assert run(capsys, "curve", "--out", str(path)) == (
+            EXIT_IO, "", f"I/O error: [Errno 2] No such file or directory: '{path}'\n")
 
     def test_rejects_unknown_family(self, capsys, tmp_path):
         code, _, _ = run(capsys, "curve", "--family", "3xN",
@@ -220,9 +220,9 @@ class TestVerify:
         assert json.loads(out)["result"]["passed"] is True
 
     def test_zero_tolerance_fails(self, capsys, monkeypatch):
-        exact = ri_entropy.oracle.ree_3x3
-        monkeypatch.setattr(ri_entropy.oracle, "ree_3x3", lambda c: dataclasses.replace(
-            exact(c), value=exact(c).value + 1e-3))
+        exact = ri_entropy.oracle._ree_3xn
+        monkeypatch.setattr(ri_entropy.oracle, "_ree_3xn", lambda N, c: dataclasses.replace(
+            exact(N, c), value=exact(N, c).value + 1e-3))
         code, out, _ = run(capsys, "verify", "--family", "3x3", "--param", "3",
                            "--samples", "10", "--seed", "0", "--tol", "0")
         rec = json.loads(out)
@@ -279,7 +279,7 @@ README_EXAMPLES = [
      ', "oracle": true, "force_oracle": false}'
      ', "result": {"quantity": "E_Gamma", "value": 0.69314718055994529'
      ', "region": "POLY_A\'HBF", "minimizer_alphas": [1.2247448713915889'
-     ', 0.69282032302755092, 0.14142135623730948], "aux": null'
+     ', 0.69282032302755092, 0.14142135623730953], "aux": null'
      ', "note": "E_Gamma is the minimum over PPT states: a lower bound of E_r'
      ' and an upper bound of distillable entanglement"'
      ', "oracle": {"value": 0.69314718055994529, "optimum_point": [0.5'
@@ -300,7 +300,7 @@ README_EXAMPLES = [
     ("geometry --N 41 --table area-ratio", 0,
      '{"schema_version": "ri-entropy/1", "command": {"name": "geometry"'
      ', "N": 41, "table": "area-ratio"}'
-     ', "result": {"area_ratio": 0.9291521486643437}}\n'),
+     ', "result": {"area_ratio": 0.92915214866434381}}\n'),
     ("verify --family 3xN-odd --param 7 --samples 1000 --seed 7 --tol 1e-6", 0,
      '{"schema_version": "ri-entropy/1", "command": {"name": "verify"'
      ', "family": "3xN-odd", "param": "7", "samples": 1000, "seed": 7'

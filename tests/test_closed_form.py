@@ -30,6 +30,9 @@ from ri_entropy.states import (
     AlphaVector,
     NormalizedCoords,
     RIState,
+    _alpha_vector_3xn,
+    _discrete_kl,
+    _prefactors,
     kl_alpha,
     make_ri_state,
     normalized_to_raw,
@@ -505,7 +508,7 @@ def _golden_records():
 
 # a change to these is a change of closed-form output and must be deliberate
 GOLDEN_COUNT = 496
-GOLDEN_SHA256 = "84127fec66104a0acbfbb64e2dd5a91fdaf2a688e73118fa2bba52fdb06027bc"
+GOLDEN_SHA256 = "d7b9487d391785724337e808c9ec8c0140a4e966fff4346ccf2e18f05e6001b7"
 
 
 class TestGoldenValues:
@@ -584,7 +587,7 @@ class TestValidByConstruction:
             pre = (math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2)))
             points = _edge_points(N) + golden.get(N, [])
             # each point, and the minimizer the closed form builds for it
-            minimizers = [NormalizedCoords(*_value_in_region(N, c, classify_region(N, c))[1])
+            minimizers = [NormalizedCoords(*_value_in_region(N, c, classify_region(N, c))[1][:2])
                           for c in points]
             for coords in points + minimizers:
                 built = normalized_to_raw(N, coords)
@@ -655,13 +658,26 @@ class TestMinimizerBuiltOnce:
     @pytest.mark.parametrize("N", MINIMIZER_NS)
     def test_sigma_is_inside_the_simplex(self, N):
         # why dropping the re-check is safe: NormalizedCoords leaves such a
-        # point as it is, so the minimizer is the one the re-check built
+        # point as it is, so the minimizer's first two coefficients are the
+        # ones the re-check built
+        floor = 2.0 / N / (N + 1)  # the third coordinate of A'
         for coords in _edge_points(N) + _near_a_prime(N):
-            sx, sy = _value_in_region(N, coords, classify_region(N, coords))[1]
+            region = classify_region(N, coords)
+            value, (sx, sy, sz), _ = _value_in_region(N, coords, region)
             assert sx >= 0.0 and sy >= 0.0 and sx + sy <= 1.0
             res = ree_3xn(N, coords)
             rewrapped = normalized_to_raw(N, NormalizedCoords(sx, sy)).coeffs
-            assert _bits(res.minimizer.alphas) == _bits(rewrapped.alphas)
+            assert _bits(res.minimizer.alphas[:2]) == _bits(rewrapped.alphas[:2])
+            # one third coordinate: the value is taken against the sigma_z the
+            # minimizer carries, which is A''s or more off the separable region
+            assert _bits(res.minimizer.alphas) == _bits(_alpha_vector_3xn(N, sx, sy, sz).alphas)
+            assert res.value == value == _discrete_kl(
+                (coords.ahat_lo, coords.ahat_mid, coords.ahat_hi), (sx, sy, sz))
+            if region is Region.SEPARABLE:
+                assert sz == coords.ahat_hi
+            else:
+                assert sz == max(1.0 - sx - sy, floor)
+                assert res.minimizer.alphas[2] >= _prefactors(N)[2] * floor
 
     def test_no_coords_check_inside_the_closed_forms(self, monkeypatch):
         runs = []

@@ -203,3 +203,15 @@ class TestAreaRatio:
     def test_below_one(self):
         for N in (3, 5, 10, 41, 201):
             assert 0.0 < polygon_area_ratio(N) < 1.0
+
+    def test_correctly_rounded(self):
+        bad = []
+        for N in (*range(3, 2000), *(10**k + 1 for k in range(3, 13))):
+            # twice the exact shoelace area of ADA'E in barycentric units, where ABC has area 1/2
+            poly = [(Fraction(0), Fraction(0)), (Fraction(N - 1, 2 * N), Fraction(0)),
+                    (Fraction(N - 2, N), Fraction(2, N + 1)), (Fraction(0), Fraction(N - 1, N + 1))]
+            exact = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(poly, poly[1:] + poly[:1]))
+            assert exact == Fraction((N - 1) ** 2, N * (N + 1))
+            if polygon_area_ratio(N) != float(exact):
+                bad.append(N)
+        assert bad == []

@@ -11,6 +11,8 @@ from ri_entropy.angular import Spin
 from ri_entropy.closed_form import ree_2xn, ree_3xn_odd, state_2xn
 from ri_entropy.geometry import ppt_polygon, simplex_vertices
 from ri_entropy.oracle import (
+    _INTERVAL_TOL,
+    _MAX_STEPS,
     _POLYGON_TOL,
     CAMPAIGNS,
     _inside_mask,
@@ -55,18 +57,22 @@ class TestIntervalOracle:
             ree_2xn(Spin(2), 0.95).value, abs=1e-8)
 
     def test_converged_implies_small_box(self):
-        report = minimize_kl_over_interval(Spin(1), 0.8, tol=1e-10)
-        assert report.converged and report.final_box_size <= 1e-10
+        report = minimize_kl_over_interval(Spin(1), 0.8)
+        assert report.converged and report.final_box_size <= _INTERVAL_TOL
 
-    def test_unreachable_tol_stops_unconverged(self):
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+    def test_search_reaches_its_tol(self, tol):
+        ps = np.random.default_rng(6).random(30)
+        steps, widths = _interval_search(Spin(3), ps, tol)[2:]
+        assert widths.max() <= tol and steps < _MAX_STEPS
+
+    def test_unreachable_tol_stops_unconverged(self, monkeypatch):
         # rounding stalls the bracket far above 1e-300; the search must still end
-        report = minimize_kl_over_interval(Spin(1), 0.8, tol=1e-300)
+        monkeypatch.setattr(ri_entropy.oracle, "_INTERVAL_TOL", 1e-300)
+        report = minimize_kl_over_interval(Spin(1), 0.8)
         assert not report.converged and report.final_box_size > 1e-300
+        assert report.iterations == _MAX_STEPS
         assert report.optimum_value == pytest.approx(ree_2xn(Spin(1), 0.8).value, abs=1e-15)
-
-    def test_rejects_non_positive_tol(self):
-        with pytest.raises(ValueError):
-            minimize_kl_over_interval(Spin(1), 0.8, tol=0.0)
 
     def test_batch_equals_scalar_calls(self):
         j = Spin(3)
@@ -95,10 +101,24 @@ class TestPolygonOracle:
     @pytest.mark.parametrize("N", [3, 4, 7])
     def test_converged_implies_small_box(self, N):
         xs, ys = simplex_points(30, seed=40 + N)
-        for tol in (1e-6, 1e-9, 1e-12):
-            for x, y in zip(xs, ys):
-                report = minimize_kl_over_polygon(N, NormalizedCoords(x, y), tol=tol)
-                assert report.converged and report.final_box_size <= tol
+        for x, y in zip(xs, ys):
+            report = minimize_kl_over_polygon(N, NormalizedCoords(x, y))
+            assert report.converged and report.final_box_size <= _POLYGON_TOL
+
+    @pytest.mark.parametrize("N", [3, 4, 7])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_search_reaches_its_tol(self, N, tol):
+        xs, ys = simplex_points(30, seed=40 + N)
+        poly = _normalized_polygon(N, ppt_polygon(N))
+        steps, widths = _polygon_search(poly, xs, ys, tol)[3:]
+        assert widths.max() <= tol and steps.max() < _MAX_STEPS
+
+    def test_unreachable_tol_stops_unconverged(self, monkeypatch):
+        monkeypatch.setattr(ri_entropy.oracle, "_POLYGON_TOL", 1e-300)
+        report = minimize_kl_over_polygon(5, NormalizedCoords(1.0, 0.0))
+        assert not report.converged and report.final_box_size > 1e-300
+        assert report.iterations == _MAX_STEPS
+        assert report.optimum_value == pytest.approx(math.log(5 / 3), abs=1e-12)
 
     @pytest.mark.parametrize("N", [3, 6, 9])
     def test_batch_equals_scalar_calls(self, N):
@@ -210,9 +230,9 @@ class TestVerifyClosedForm:
         assert a == b  # bit-identical summaries for identical seeds
 
     def test_zero_tolerance_fails(self, monkeypatch):
-        exact = ri_entropy.oracle.ree_3x3
-        monkeypatch.setattr(ri_entropy.oracle, "ree_3x3", lambda c: dataclasses.replace(
-            exact(c), value=exact(c).value + 1e-3))
+        exact = ri_entropy.oracle._ree_3xn
+        monkeypatch.setattr(ri_entropy.oracle, "_ree_3xn", lambda N, c: dataclasses.replace(
+            exact(N, c), value=exact(N, c).value + 1e-3))
         summary = verify_closed_form("3x3", 3, samples=20, seed=2, tol=0.0)
         assert not summary.passed
         assert summary.max_abs_diff == pytest.approx(1e-3, abs=1e-12)
@@ -232,6 +252,17 @@ class TestVerifyClosedForm:
             verify_closed_form("3xN-odd", 6, samples=5, seed=0, tol=1e-6)
         with pytest.raises(ValueError):
             verify_closed_form("3xN-even", 7, samples=5, seed=0, tol=1e-6)
+
+    @pytest.mark.parametrize("family,param,message", [
+        ("3x3", 5, "family 3x3 fixes N = 3"),
+        ("3xN-odd", 4, "family 3xN-odd needs odd N >= 5"),
+        ("3xN-even", 5, "family 3xN-even needs even N >= 4"),
+        ("4xN", 4, "unknown family '4xN'"),
+    ])
+    def test_refusal_messages(self, family, param, message):
+        with pytest.raises(ValueError) as info:
+            verify_closed_form(family, param, samples=5, seed=0, tol=1e-6)
+        assert str(info.value) == message
 
     def test_numpy_integer_n_matches_int_n(self):
         for family, N in (("3xN-odd", 7), ("3xN-even", 6)):
