@@ -73,20 +73,25 @@ class Spin:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A dense complex square matrix, optionally tagged with bipartite factor dims."""
+    """A dense real or complex square matrix, optionally tagged with bipartite factor dims.
+
+    A real input is stored as float64 and a complex one as complex128, so the
+    real matrices of RI states, projectors and partial time reversals keep
+    real (cheaper) eigendecompositions and products.
+    """
 
     mat: np.ndarray
     dims: tuple[int, int] | None = None
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = np.asarray(self.mat)
+        mat = mat.astype(complex if np.iscomplexobj(mat) else float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {mat.shape}")
         if self.dims is not None:
             n1, n2 = self.dims
             if n1 < 1 or n2 < 1 or n1 * n2 != mat.shape[0]:
                 raise ValueError(f"factor dims {self.dims} inconsistent with dimension {mat.shape[0]}")
-        mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
@@ -191,11 +196,13 @@ def projector(j1: Spin, j2: Spin, J: Spin) -> DenseOperator:
 
     Built once per (j1, j2, J) and shared: the returned matrix is read-only.
     """
-    return _projector(j1, j2, J)
+    return _projector(j1.twice_j, j2.twice_j, J.twice_j)
 
 
+# keyed on the doubled spins, as _coupling_range is
 @lru_cache(maxsize=128)
-def _projector(j1: Spin, j2: Spin, J: Spin) -> DenseOperator:
+def _projector(tj1: int, tj2: int, tJ: int) -> DenseOperator:
+    j1, j2, J = Spin(tj1), Spin(tj2), Spin(tJ)
     if J not in coupling_range(j1, j2):
         raise ValueError(f"J={J} outside coupling range of {j1}, {j2}")
     dim = j1.dim * j2.dim

@@ -64,49 +64,63 @@ class VerificationSummary:
     passed: bool
 
 
-def _kl(p, q) -> np.ndarray:
-    """Discrete KL sum_k p[k] ln(p[k] / q[k]), elementwise over broadcast arrays.
+def _kl_from(p: np.ndarray, shape: tuple):
+    """The discrete KL q -> sum_k p[k] ln(p[k] / q[k]) for a fixed `p`, elementwise.
 
-    `p` and `q` hold one array per outcome; 0 ln 0 = 0 and a support
-    violation (p[k] > 0 where q[k] <= 0) gives +inf.
+    `p` is stacked as (outcomes, ...) and broadcasts against `shape`; `q` is
+    stacked as (outcomes, rows, *shape), one row per set of points, and the
+    result is (rows, *shape).  0 ln 0 = 0 and a support violation (p[k] > 0
+    where q[k] <= 0) gives +inf: q is floored at 0, where p ln(p / 0) = +inf,
+    and the terms of p[k] = 0 are set to 0.  Call it with numpy's divide and
+    invalid warnings off, as `_golden_section` does.
     """
-    total = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for pk, qk in zip(p, q):
-            term = np.where(qk > 0.0, pk * np.log(pk / qk), np.inf)
-            total = total + np.where(pk > 0.0, term, 0.0)
-    return np.maximum(total, 0.0)
+    # stored at the full shape of a one-row q: numpy's loops over operands of
+    # one shape cost a fraction of broadcasting ones on these small arrays
+    p = np.ascontiguousarray(np.broadcast_to(p[:, None], (len(p), 1, *shape)))
+    off_support = ~(p > 0.0)
+
+    def kl(q):
+        terms = p * np.log(p / np.maximum(q, 0.0))
+        np.copyto(terms, 0.0, where=off_support)
+        return np.maximum(terms.sum(axis=0), 0.0)
+
+    return kl
 
 
 def _golden_section(f, lo, hi, tol: float):
     """Golden-section minimization of a convex f on every bracket [lo, hi] at once.
 
-    `f` maps an array of points, one per bracket, to their values.  All
-    brackets step in lockstep until the widest is at most `tol`.  Returns
-    (points, values, steps, final widths); each point is the best of the
-    final bracket and the original endpoints, ties going to the smaller.
+    `f` maps points stacked as (rows, *shape), one point per bracket in each
+    row, to their values; it runs with numpy's divide and invalid warnings
+    off.  All brackets step in lockstep until the widest is at most `tol`.
+    Returns (points, values, steps, final widths); each point is the best of
+    the final bracket and the original endpoints, ties going to the smaller.
     """
     lo0, hi0 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     lo, hi = lo0, hi0
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    steps = 0
-    while steps < _MAX_STEPS and np.max(hi - lo, initial=0.0) > tol:
-        left = f1 <= f2  # the minimum lies in [lo, x2]
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x_new = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-        f_new = f(x_new)
-        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-        steps += 1
-    cands = (lo0, lo, x1, x2, hi, hi0)  # ascending, so argmin breaks ties to the smaller
-    vals = np.stack([f(c) for c in cands])
-    best = np.argmin(vals, axis=0)
-    points = np.choose(best, np.broadcast_arrays(*cands))
-    values = np.take_along_axis(vals, best[None], axis=0)[0]
-    return points, values, steps, hi - lo
+    w = hi - lo
+    d = _INVPHI * w
+    x1, x2 = hi - d, lo + d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1, f2 = f(np.array((x1, x2)))
+        steps = 0  # an empty batch (w.size == 0) takes no step
+        while steps < _MAX_STEPS and w.size and w.max() > tol:
+            left = f1 <= f2  # the minimum lies in [lo, x2]
+            hi = np.where(left, x2, hi)
+            lo = np.where(left, lo, x1)
+            w = hi - lo
+            d = _INVPHI * w
+            x_new = np.where(left, hi - d, lo + d)
+            f_new = f(x_new[None])[0]
+            x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+            f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+            steps += 1
+        cands = np.array((lo0, lo, x1, x2, hi, hi0))  # ascending, so argmin breaks ties to the smaller
+        vals = f(cands)
+    best = np.argmin(vals, axis=0)[None]
+    points = np.take_along_axis(cands, best, axis=0)[0]
+    values = np.take_along_axis(vals, best, axis=0)[0]
+    return points, values, steps, w
 
 
 def _interval_search(j: Spin, ps: np.ndarray, tol: float):
@@ -115,7 +129,8 @@ def _interval_search(j: Spin, ps: np.ndarray, tol: float):
         raise ValueError(f"p must lie in [0, 1], got {ps}")
     lo = np.zeros_like(ps)
     hi = np.full_like(ps, separability_threshold(j))
-    return _golden_section(lambda q: _kl((ps, 1.0 - ps), (q, 1.0 - q)), lo, hi, tol)
+    kl = _kl_from(np.array((ps, 1.0 - ps)), ps.shape)
+    return _golden_section(lambda q: kl(np.array((q, 1.0 - q))), lo, hi, tol)
 
 
 def minimize_kl_over_interval(j: Spin, p: float) -> MinimizationReport:
@@ -159,23 +174,26 @@ def _polygon_search(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float
     widths = np.zeros_like(xs)
     out = ~_inside_mask(poly, xs, ys)
     if out.any():
-        p = tuple(c[out, None] for c in (xs, ys, 1.0 - xs - ys))  # (states, 1) per outcome
-        v0, v1 = poly, np.roll(poly, -1, axis=0)                   # edge v0 -> v1, (edges, 2)
+        shape = (int(out.sum()), len(poly))
+        kl = _kl_from(np.array((xs, ys, 1.0 - xs - ys))[:, out, None], shape)
+        # x and y of each edge's start v0 and end v1, at the shape of one row of s
+        v0x, v0y, v1x, v1y = (np.ascontiguousarray(np.broadcast_to(c, (1, *shape)))
+                              for c in np.hstack((poly, np.roll(poly, -1, axis=0))).T)
 
-        def along(s):
-            return (1.0 - s) * v0[:, 0] + s * v1[:, 0], (1.0 - s) * v0[:, 1] + s * v1[:, 1]
+        def along(s):  # the point (x, y) at parameter s of each edge
+            u = 1.0 - s
+            return u * v0x + s * v1x, u * v0y + s * v1y
 
         def f(s):
             qx, qy = along(s)
-            return _kl(p, (qx, qy, 1.0 - qx - qy))
+            return kl(np.array((qx, qy, 1.0 - qx - qy)))
 
-        shape = (int(out.sum()), len(poly))
         s, edge_vals, n_steps, edge_widths = _golden_section(
             f, np.zeros(shape), np.ones(shape), tol)
         best = np.argmin(edge_vals, axis=1)
         rows = np.arange(shape[0])
-        qx, qy = along(s)
-        xs_opt[out], ys_opt[out] = qx[rows, best], qy[rows, best]
+        qx, qy = along(s[None])
+        xs_opt[out], ys_opt[out] = qx[0, rows, best], qy[0, rows, best]
         vals[out] = edge_vals[rows, best]
         steps[out] = n_steps
         widths[out] = edge_widths.max(axis=1)

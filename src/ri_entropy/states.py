@@ -195,7 +195,7 @@ def to_density(state: RIState) -> DenseOperator:
     """Dense matrix of an RI state; eigenvalue on block J is alpha_J / sqrt(N1 N2 (2J+1))."""
     j1, j2 = state.j1, state.j2
     dim = j1.dim * j2.dim
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((dim, dim))  # projectors are real, and so is every RI density
     for J, a in zip(coupling_range(j1, j2), state.alphas()):
         rho += (a / math.sqrt(dim * J.dim)) * projector(j1, j2, J).mat
     return DenseOperator(rho, dims=(j1.dim, j2.dim))
@@ -210,8 +210,9 @@ def alpha_coords(op: DenseOperator, j1: Spin, j2: Spin) -> np.ndarray:
     dim = j1.dim * j2.dim
     if op.dim != dim:
         raise ValueError(f"operator dimension {op.dim} does not match ({j1}, {j2})")
+    # P_J is real symmetric, so tr(P_J op) = sum_ik P_J[i, k] op[i, k]: O(dim^2)
     return np.array([
-        np.trace(projector(j1, j2, J).mat @ op.mat).real * math.sqrt(dim / J.dim)
+        np.vdot(projector(j1, j2, J).mat, op.mat).real * math.sqrt(dim / J.dim)
         for J in coupling_range(j1, j2)
     ])
 
@@ -243,16 +244,19 @@ def kl_alpha(rho: RIState, sigma: RIState) -> float:
 
 
 HERMITICITY_TOL = 1e-10
+SUPPORT_CUT = 1e-12            # eigenvalues at or below this lie outside the support
+SUPPORT_VIOLATION_TOL = 1e-10  # weight of a outside the support of b that makes S(a||b) = +inf
 
 
-def _density_eigh(op: DenseOperator, label: str):
+def _density_eigh(op: DenseOperator, label: str, vectors: bool = True):
+    """Eigenvalues (clipped at 0) and, if `vectors`, eigenvectors of a checked density."""
     m = op.mat
     if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
         raise ValueError(f"{label} is not Hermitian")
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     if vals.min() < -HERMITICITY_TOL:
         raise ValueError(f"{label} is not positive semidefinite (min eig {vals.min()})")
-    return np.clip(vals, 0.0, None), vecs
+    return np.maximum(vals, 0.0), vecs
 
 
 def quantum_relative_entropy(a: DenseOperator, b: DenseOperator) -> float:
@@ -262,18 +266,17 @@ def quantum_relative_entropy(a: DenseOperator, b: DenseOperator) -> float:
     """
     if a.dim != b.dim:
         raise ValueError("operators must have equal dimension")
-    va, ua = _density_eigh(a, "first argument")
+    va, _ = _density_eigh(a, "first argument", vectors=False)
     vb, ub = _density_eigh(b, "second argument")
 
-    support_cut = 1e-12
-    tr_a_ln_a = float(sum(x * math.log(x) for x in va if x > support_cut))
+    tr_a_ln_a = float(sum(x * math.log(x) for x in va.tolist() if x > SUPPORT_CUT))
 
-    # <u_i| a |u_i> in the eigenbasis of b
-    overlaps = np.einsum("ij,jk,ki->i", ub.conj().T, a.mat, ub).real
+    # <u_i| a |u_i> in the eigenbasis of b: one matrix product, then row sums
+    overlaps = ((ub.conj().T @ a.mat) * ub.T).sum(axis=1).real
     tr_a_ln_b = 0.0
-    for lam, w in zip(vb, overlaps):
-        if lam <= support_cut:
-            if w > 1e-10:
+    for lam, w in zip(vb.tolist(), overlaps.tolist()):
+        if lam <= SUPPORT_CUT:
+            if w > SUPPORT_VIOLATION_TOL:
                 return math.inf
         elif w > 0.0:
             tr_a_ln_b += w * math.log(lam)

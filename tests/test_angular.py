@@ -245,3 +245,22 @@ class TestDenseOperator:
         op = DenseOperator(np.eye(2))
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
+
+    def test_real_input_stays_real_and_complex_stays_complex(self):
+        assert DenseOperator(np.eye(3)).mat.dtype == np.float64
+        assert DenseOperator([[1, 0], [0, 1]]).mat.dtype == np.float64
+        assert DenseOperator(np.eye(3, dtype=np.float32)).mat.dtype == np.float64
+        assert DenseOperator(np.eye(3, dtype=complex)).mat.dtype == np.complex128
+        assert DenseOperator(np.eye(3, dtype=np.complex64)).mat.dtype == np.complex128
+
+    def test_matrix_is_a_copy(self):
+        m = np.eye(2)
+        op = DenseOperator(m)
+        m[0, 0] = 5.0
+        assert op.mat[0, 0] == 1.0
+
+    def test_projectors_and_their_images_are_real(self):
+        P = projector(Spin(2), Spin(4), Spin(2))
+        assert P.mat.dtype == np.float64
+        assert rotation_y_pi(Spin(3)).mat.dtype == np.float64
+        assert partial_time_reversal(P).mat.dtype == np.float64

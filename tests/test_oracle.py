@@ -1,6 +1,7 @@
 """Tests for the independent numerical oracles."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import ri_entropy.oracle
 from ri_entropy.angular import Spin
-from ri_entropy.closed_form import ree_2xn, ree_3xn_odd, state_2xn
+from ri_entropy.closed_form import ree_2xn, ree_3xn_odd, separability_threshold, state_2xn
 from ri_entropy.geometry import ppt_polygon, simplex_vertices
 from ri_entropy.oracle import (
     _INTERVAL_TOL,
@@ -300,3 +301,47 @@ class TestIndependentRoute:
                                              to_density(sigma))
             assert abs(report.optimum_value - dense) <= 1e-9
             assert ppt_min_eigenvalue(sigma) >= -1e-10
+
+
+# SHA-256 of `oracle_fingerprint()`: any change to a bit of the oracle's
+# searches or campaign summaries changes it
+ORACLE_FINGERPRINT = "0ea05a6f04c156d396b361f6899d1005b0e31ad4f6895178919849209d2fd548"
+
+
+def oracle_fingerprint() -> str:
+    """SHA-256 over float.hex of the values, points, steps and widths of a
+    fixed set of interval and polygon searches, and of the worst gap and
+    worst input of every campaign at two seeds."""
+    digest = hashlib.sha256()
+
+    def put(*outputs):
+        for out in outputs:
+            for v in np.ravel(np.asarray(out, dtype=float)):
+                digest.update(float(v).hex().encode() + b",")
+            digest.update(b";")
+
+    for tj in (1, 2, 3, 4):
+        j = Spin(tj)
+        ps = np.concatenate([np.random.default_rng(500 + tj).random(60),
+                             [0.0, 1.0, separability_threshold(j)]])
+        put(*_interval_search(j, ps, _INTERVAL_TOL))
+    for N in (3, 4, 5, 6, 7):
+        poly = _normalized_polygon(N, ppt_polygon(N))
+        xs, ys = simplex_points(60, seed=600 + N)
+        pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]  # the simplex vertices A, B, C
+        for i in range(len(poly)):  # the polygon's vertices and points on its edges
+            (ox, oy), (qx, qy) = poly[i], poly[(i + 1) % len(poly)]
+            pts += [(ox + f * (qx - ox), oy + f * (qy - oy)) for f in (0.0, 0.25, 0.5, 0.9)]
+        xs = np.concatenate([xs, [p[0] for p in pts]])
+        ys = np.concatenate([ys, [p[1] for p in pts]])
+        put(*_polygon_search(poly, xs, ys, _POLYGON_TOL))
+    for seed in (8, 21):
+        for family, param in CAMPAIGNS:
+            summary = verify_closed_form(family, param, samples=20, seed=seed, tol=1e-6)
+            put(summary.max_abs_diff, summary.worst_input)
+    return digest.hexdigest()
+
+
+class TestBitIdentity:
+    def test_oracle_outputs_are_pinned(self):
+        assert oracle_fingerprint() == ORACLE_FINGERPRINT

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ri_entropy.angular import DenseOperator, Spin, coupled_basis_vector, coupling_range, projector
+from ri_entropy.closed_form import ree_dispatch
+from ri_entropy.geometry import Region, classify_region
 from ri_entropy.states import (
     AlphaVector,
     NormalizedCoords,
+    RIState,
     block_weights,
     kl_alpha,
     make_ri_state,
@@ -122,6 +125,11 @@ class TestMakeRIState:
 
 
 class TestToDensity:
+    def test_dense_matrix_is_real(self):
+        rng = np.random.default_rng(3)
+        for j1, j2 in SPIN_PAIRS:
+            assert to_density(random_state(j1, j2, rng)).mat.dtype == np.float64
+
     def test_maximally_mixed_dense(self):
         rho = to_density(maximally_mixed(Spin(1), Spin(2))).mat
         assert np.abs(rho - np.eye(6) / 6).max() < 1e-14
@@ -254,6 +262,39 @@ class TestQuantumRelativeEntropy:
         m = np.array([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(ValueError):
             quantum_relative_entropy(DenseOperator(m), DenseOperator(np.eye(2) / 2))
+
+    def test_unchanged_by_a_complex_unitary(self):
+        """Conjugating both arguments by one unitary leaves S(a||b) unchanged;
+        the conjugated matrices are complex, so this runs the complex path."""
+        rng = np.random.default_rng(17)
+        for j1, j2 in SPIN_PAIRS:
+            a, b = (to_density(random_state(j1, j2, rng)) for _ in range(2))
+            dim = a.dim
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            u, _ = np.linalg.qr(z)
+            ua, ub = (DenseOperator(u @ op.mat @ u.conj().T) for op in (a, b))
+            assert ua.mat.dtype == np.complex128
+            assert quantum_relative_entropy(ua, ub) == pytest.approx(
+                quantum_relative_entropy(a, b), abs=1e-12)
+
+    def test_matches_closed_form_in_every_region_3x11(self):
+        """S(rho || sigma*) of the dense matrices equals the closed-form value
+        for states of every region of 3(x)11, sigma* the closed-form minimizer."""
+        N, j1, j2 = 11, Spin(2), Spin(10)
+        u = np.sort(np.random.default_rng(11).random((4000, 2)), axis=1)
+        per_region = {}
+        for x, y in zip(u[:, 0], u[:, 1] - u[:, 0]):
+            coords = NormalizedCoords(x, y)
+            per_region.setdefault(classify_region(N, coords), []).append(coords)
+        assert set(per_region) == {Region.SEPARABLE, Region.POLY_APRIME_FCE,
+                                   Region.POLY_APRIME_HBF, Region.TRI_APRIME_DH}
+        for coords_list in per_region.values():
+            for coords in coords_list[:4]:
+                state = normalized_to_raw(N, coords)
+                res = ree_dispatch(j1, j2, state.alphas())
+                dense = quantum_relative_entropy(to_density(state),
+                                                 to_density(RIState(res.minimizer)))
+                assert dense == pytest.approx(res.value, abs=1e-12)
 
 
 class TestNormalizedCoords:
