@@ -25,14 +25,14 @@ def main() -> int:
 
     all_ok = True
     for family, param in CAMPAIGNS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         summary = verify_closed_form(family, param, samples=args.samples,
                                      seed=args.seed, tol=args.tol)
         verdict = "PASS" if summary.passed else "FAIL"
         all_ok = all_ok and summary.passed
         print(f"{verdict} {family:8s} param={param:<4} "
               f"max|closed-oracle|={summary.max_abs_diff:.3e} "
-              f"({time.time() - t0:.1f}s)")
+              f"({time.perf_counter() - t0:.1f}s)")
         if not summary.passed:
             print(f"     worst input: {summary.worst_input}")
     return 0 if all_ok else 1

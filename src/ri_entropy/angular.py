@@ -213,6 +213,19 @@ def _projector(tj1: int, tj2: int, tJ: int) -> DenseOperator:
     return DenseOperator(P, dims=(j1.dim, j2.dim))
 
 
+# keyed on the doubled spins, as _projector is; built on first use, not at import
+@lru_cache(maxsize=64)
+def _projector_stacks(tj1: int, tj2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flattened P_J of the spins (tj1/2, tj2/2), J ascending, as one read-only
+    (n_J, dim^2) stack, and the read-only stack of their partial time reversals."""
+    ps = [_projector(tj1, tj2, J.twice_j) for J in _coupling_range(tj1, tj2)]
+    stacks = (np.array([P.mat.ravel() for P in ps]),
+              np.array([partial_time_reversal(P).mat.ravel() for P in ps]))
+    for stack in stacks:
+        stack.flags.writeable = False
+    return stacks
+
+
 def rotation_y_pi(j: Spin) -> DenseOperator:
     """The pi-rotation about the y axis: V[m', m] = (-1)^(j-m) delta_{m', -m}."""
     V = np.zeros((j.dim, j.dim))

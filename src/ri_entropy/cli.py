@@ -24,8 +24,9 @@ from .closed_form import (
     REEResult,
     UnsupportedFamilyError,
     _ree_of_state,
+    _value_2xn,
     p_of_state,
-    ree_2xn,
+    separability_threshold,
     state_2xn,
 )
 from .geometry import (
@@ -213,9 +214,10 @@ def cmd_curve(args) -> int:
     with open(args.out, "w", newline="") as out:
         out.write("p,j,E_r\n")
         for j in js:
+            separability_threshold(j)  # refuses j = 0; each p is in [0, 1]
             for k in range(args.points):
                 p = k / (args.points - 1)
-                val = ree_2xn(j, p).value
+                val = _value_2xn(j.twice_j, p)
                 out.write(f"{format(p, '.17g')},{format_spin(j)},{format(val, '.17g')}\n")
     return EXIT_OK
 

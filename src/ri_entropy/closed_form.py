@@ -124,22 +124,23 @@ def p_of_state(state: RIState) -> float:
     return min(_block_weights(1, state.j2.twice_j)[0][0] * state.coeffs.alphas[0], 1.0)
 
 
+def _value_2xn(tj: int, p: float) -> float:
+    """E_r of the 2(x)(tj+1) state with lower-block weight p, for a checked
+    tj >= 1 and p in [0, 1]: the value alone, without a minimizer."""
+    if p <= tj / (tj + 1):  # separable: at or below separability_threshold
+        return 0.0
+    return max(_xlogy(p, (tj + 1) * p / tj) + _xlogy(1.0 - p, (tj + 1) * (1.0 - p)), 0.0)
+
+
 def ree_2xn(j: Spin, p: float) -> REEResult:
     """REE of the 2(x)(2j+1) RI state with lower-block weight p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     pc = separability_threshold(j)
     if p <= pc:
-        value = 0.0
-        p_star = p
-        region = Region.SEPARABLE
-    else:
-        tj = j.twice_j
-        value = _xlogy(p, (tj + 1) * p / tj) + _xlogy(1.0 - p, (tj + 1) * (1.0 - p))
-        p_star = pc
-        region = Region.ENTANGLED_INTERVAL
-    return REEResult(value=max(value, 0.0), region=region,
-                     minimizer=state_2xn(j, p_star).coeffs)
+        return REEResult(value=0.0, region=Region.SEPARABLE, minimizer=state_2xn(j, p).coeffs)
+    return REEResult(value=_value_2xn(j.twice_j, p), region=Region.ENTANGLED_INTERVAL,
+                     minimizer=state_2xn(j, pc).coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import Spin, partial_time_reversal
-from .closed_form import _ree_3xn, ree_2xn, separability_threshold
+from .angular import Spin
+from .closed_form import _ree_3xn, _value_2xn, separability_threshold
 from .geometry import ppt_polygon
-from .states import NormalizedCoords, RIState, _check_n, _prefactors, to_density
+from .states import NormalizedCoords, RIState, _check_n, _dense, _prefactors
 
 __all__ = [
     "MinimizationReport",
@@ -217,9 +217,9 @@ def minimize_kl_over_polygon(N: int, coords: NormalizedCoords) -> MinimizationRe
 
 
 def ppt_min_eigenvalue(state: RIState) -> float:
-    """Smallest eigenvalue of the partial time-reversal of the dense state."""
-    image = partial_time_reversal(to_density(state))
-    return float(np.linalg.eigvalsh(image.mat)[0])
+    """Smallest eigenvalue of the partial time-reversal of the dense state: the
+    reversal is linear, so the image is a sum of the reversed projectors."""
+    return float(np.linalg.eigvalsh(_dense(state, 1))[0])
 
 
 def verify_closed_form(family: str, param, samples: int, seed: int,
@@ -232,12 +232,15 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
     samples as one batch; 3(x)N samples are uniform on the simplex via
     sorted uniform spacings.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rng = np.random.default_rng(seed)
 
     if family == "2xN":
         j = param if isinstance(param, Spin) else Spin.of(param)
+        separability_threshold(j)  # refuses j = 0 before any sample
         ps = rng.random(samples)
-        closed = np.array([ree_2xn(j, float(p)).value for p in ps])
+        closed = np.array([_value_2xn(j.twice_j, p) for p in ps.tolist()])
         orac = _interval_search(j, ps, _INTERVAL_TOL)[1]
         inputs = (ps,)
         param_out = j.j
@@ -261,7 +264,7 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
 
     with np.errstate(invalid="ignore"):  # equal infinities differ by 0, not nan
         diffs = np.where(closed == orac, 0.0, np.abs(closed - orac))
-    max_diff, worst = -1.0, ()
+    max_diff, worst = 0.0, ()  # no sample, no difference
     if samples:
         k = int(np.argmax(diffs))  # the first sample on ties
         max_diff, worst = float(diffs[k]), tuple(float(c[k]) for c in inputs)

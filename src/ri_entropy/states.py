@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import DenseOperator, Spin, coupling_range, projector
+from .angular import DenseOperator, Spin, _projector_stacks, coupling_range
 
 __all__ = [
     "AlphaVector",
@@ -191,14 +191,18 @@ def maximally_mixed(j1: Spin, j2: Spin) -> RIState:
     return make_ri_state(j1, j2, block_weights(j1, j2))
 
 
+def _dense(state: RIState, image: int) -> np.ndarray:
+    """The real (dim, dim) sum_J alpha_J / sqrt(N1 N2 (2J+1)) S_J, S_J = P_J (image 0:
+    the density) or its partial time reversal (image 1): one product over a stack."""
+    tj1, tj2 = state.j1.twice_j, state.j2.twice_j
+    dim = (tj1 + 1) * (tj2 + 1)
+    coeffs = state.alphas() / (dim * _block_weights(tj1, tj2)[1])  # dim w_J = sqrt(dim (2J+1))
+    return (coeffs @ _projector_stacks(tj1, tj2)[image]).reshape(dim, dim)
+
+
 def to_density(state: RIState) -> DenseOperator:
     """Dense matrix of an RI state; eigenvalue on block J is alpha_J / sqrt(N1 N2 (2J+1))."""
-    j1, j2 = state.j1, state.j2
-    dim = j1.dim * j2.dim
-    rho = np.zeros((dim, dim))  # projectors are real, and so is every RI density
-    for J, a in zip(coupling_range(j1, j2), state.alphas()):
-        rho += (a / math.sqrt(dim * J.dim)) * projector(j1, j2, J).mat
-    return DenseOperator(rho, dims=(j1.dim, j2.dim))
+    return DenseOperator(_dense(state, 0), dims=(state.j1.dim, state.j2.dim))
 
 
 def alpha_coords(op: DenseOperator, j1: Spin, j2: Spin) -> np.ndarray:
@@ -207,14 +211,13 @@ def alpha_coords(op: DenseOperator, j1: Spin, j2: Spin) -> np.ndarray:
     Useful for operators outside the state simplex (e.g. partial
     time-reversal images, which may have negative coordinates).
     """
-    dim = j1.dim * j2.dim
-    if op.dim != dim:
+    if op.dim != j1.dim * j2.dim:
         raise ValueError(f"operator dimension {op.dim} does not match ({j1}, {j2})")
-    # P_J is real symmetric, so tr(P_J op) = sum_ik P_J[i, k] op[i, k]: O(dim^2)
-    return np.array([
-        np.vdot(projector(j1, j2, J).mat, op.mat).real * math.sqrt(dim / J.dim)
-        for J in coupling_range(j1, j2)
-    ])
+    tj1, tj2 = j1.twice_j, j2.twice_j
+    # P_J is real symmetric, so Re tr(P_J op) = sum_ik P_J[i, k] Re op[i, k]: one
+    # O(n_J dim^2) product over the stack of every P_J; sqrt(N1 N2 / (2J+1)) = 1 / w_J
+    traces = _projector_stacks(tj1, tj2)[0] @ op.mat.real.ravel()
+    return traces / _block_weights(tj1, tj2)[1]
 
 
 def twirl(op: DenseOperator, j1: Spin, j2: Spin) -> RIState:

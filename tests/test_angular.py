@@ -9,6 +9,7 @@ import pytest
 from ri_entropy.angular import (
     DenseOperator,
     Spin,
+    _projector_stacks,
     clebsch_gordan,
     coupled_basis_vector,
     coupling_range,
@@ -165,6 +166,28 @@ class TestProjector:
             assert P.dims == (j1.dim, j2.dim)
             np.testing.assert_array_equal(P.mat, sum(np.outer(v, v) for v in vecs))
             assert projector(j1, j2, J) is P
+
+
+class TestProjectorStacks:
+    @pytest.mark.parametrize("tj1, tj2", [(1, 3), (2, 2), (2, 10)])
+    def test_rows_are_the_cached_projectors_and_their_images(self, tj1, tj2):
+        j1, j2 = Spin(tj1), Spin(tj2)
+        stack, images = _projector_stacks(tj1, tj2)
+        Ps = [projector(j1, j2, J) for J in coupling_range(j1, j2)]
+        assert stack.shape == images.shape == (len(Ps), (j1.dim * j2.dim) ** 2)
+        for P, row, image in zip(Ps, stack, images):
+            np.testing.assert_array_equal(row, P.mat.ravel())
+            np.testing.assert_array_equal(image, partial_time_reversal(P).mat.ravel())
+        # the stacks copy the projectors, which stay the shared cached objects
+        assert all(projector(j1, j2, J) is P for J, P in zip(coupling_range(j1, j2), Ps))
+
+    def test_cached_and_read_only(self):
+        stacks = _projector_stacks(2, 4)
+        assert _projector_stacks(2, 4) is stacks
+        for stack in stacks:
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0] = 1.0
 
 
 class TestRotationYPi:

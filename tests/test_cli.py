@@ -231,6 +231,28 @@ class TestVerify:
         assert rec["result"]["max_abs_diff"] == pytest.approx(1e-3, abs=1e-12)
         assert len(rec["result"]["worst_input"]) == 2
 
+    def test_zero_tolerance_fails_2xn(self, capsys, monkeypatch):
+        exact = ri_entropy.oracle._value_2xn
+        monkeypatch.setattr(ri_entropy.oracle, "_value_2xn", lambda tj, p: exact(tj, p) + 1e-3)
+        code, out, _ = run(capsys, "verify", "--family", "2xN", "--param", "1",
+                           "--samples", "10", "--seed", "0", "--tol", "0")
+        rec = json.loads(out)
+        assert code == EXIT_VERIFY_FAIL
+        assert rec["result"]["passed"] is False
+        assert rec["result"]["max_abs_diff"] == pytest.approx(1e-3, abs=1e-12)
+        assert len(rec["result"]["worst_input"]) == 1
+
+    def test_no_samples_passes_with_zero_difference(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "2xN", "--param", "1",
+                             "--samples", "0")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["result"] == {"passed": True, "max_abs_diff": 0,
+                                             "worst_input": []}
+
+    def test_negative_samples_refused(self, capsys):
+        assert run(capsys, "verify", "--family", "2xN", "--param", "1", "--samples", "-1") == (
+            EXIT_VALIDATION, "", "error: samples must be >= 0, got -1\n")
+
     def test_grid_and_iters_accepted_hidden_and_ignored(self, capsys):
         argv = ["verify", "--family", "3xN-even", "--param", "4", "--samples", "20",
                 "--seed", "3", "--tol", "1e-6"]

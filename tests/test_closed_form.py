@@ -14,6 +14,7 @@ from ri_entropy.angular import Spin
 from ri_entropy.closed_form import (
     Region,
     UnsupportedFamilyError,
+    _value_2xn,
     _value_in_region,
     e_gamma_3xn_even,
     p_of_state,
@@ -105,6 +106,19 @@ class Test2xN:
         res = ree_2xn(j, p)
         kl = kl_alpha(state_2xn(j, p), RIState(res.minimizer))
         assert res.value == pytest.approx(kl, abs=1e-12)
+
+
+class TestValueCore2xN:
+    """The value alone, as campaigns and curves take it, is ree_2xn's value bit for bit."""
+
+    @pytest.mark.parametrize("tj", [1, 2, 3, 4, 9, 99])
+    def test_equals_ree_2xn_value(self, tj):
+        j = Spin(tj)
+        pc = separability_threshold(j)
+        ps = np.random.default_rng(900 + tj).random(200).tolist()
+        ps += [0.0, 1.0, pc, math.nextafter(pc, -1.0), math.nextafter(pc, 1.0)]
+        for p in ps:
+            assert _value_2xn(tj, p).hex() == ree_2xn(j, p).value.hex()
 
 
 class Test3x3:

@@ -222,8 +222,15 @@ class TestVerifyClosedForm:
         assert summary.max_abs_diff == max(diffs)
 
     def test_no_samples(self):
-        summary = verify_closed_form("3x3", 3, samples=0, seed=0, tol=1e-6)
-        assert summary.passed and summary.worst_input == ()
+        for family, param in CAMPAIGNS:
+            summary = verify_closed_form(family, param, samples=0, seed=0, tol=1e-6)
+            assert summary.passed and summary.worst_input == ()
+            assert summary.max_abs_diff == 0.0  # an absolute difference is never negative
+
+    @pytest.mark.parametrize("family,param", [("2xN", 1.0), ("3x3", 3)])
+    def test_negative_samples_refused(self, family, param):
+        with pytest.raises(ValueError, match=r"^samples must be >= 0, got -1$"):
+            verify_closed_form(family, param, samples=-1, seed=0, tol=1e-6)
 
     def test_deterministic(self):
         a = verify_closed_form("3x3", 3, samples=25, seed=42, tol=1e-6)
@@ -238,6 +245,14 @@ class TestVerifyClosedForm:
         assert not summary.passed
         assert summary.max_abs_diff == pytest.approx(1e-3, abs=1e-12)
         assert summary.worst_input in zip(*simplex_points(20, seed=2))  # reported for triage
+
+    def test_zero_tolerance_fails_2xn(self, monkeypatch):
+        exact = ri_entropy.oracle._value_2xn
+        monkeypatch.setattr(ri_entropy.oracle, "_value_2xn", lambda tj, p: exact(tj, p) + 1e-3)
+        summary = verify_closed_form("2xN", 1.0, samples=20, seed=2, tol=0.0)
+        assert not summary.passed
+        assert summary.max_abs_diff == pytest.approx(1e-3, abs=1e-12)
+        assert summary.worst_input[0] in np.random.default_rng(2).random(20)
 
     def test_campaigns_cover_every_family(self):
         assert CAMPAIGNS == (("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),

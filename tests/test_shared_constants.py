@@ -9,8 +9,9 @@ from ri_entropy.angular import Spin, coupling_range
 from ri_entropy.geometry import classify_region, normalized_chart, region_polygons
 from ri_entropy.states import NormalizedCoords, block_weights
 
-BUILDERS = [angular._coupling_range, angular._projector, states._block_weights,
-            states._prefactors, geometry._normalized_chart, geometry._lines]
+BUILDERS = [angular._coupling_range, angular._projector, angular._projector_stacks,
+            states._block_weights, states._prefactors, geometry._normalized_chart,
+            geometry._lines]
 
 
 def test_block_weights_are_read_only():
