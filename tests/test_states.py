@@ -19,6 +19,8 @@ from ri_entropy.closed_form import ree_dispatch
 from ri_entropy.geometry import Region, classify_region
 from ri_entropy.oracle import ppt_min_eigenvalue
 from ri_entropy.states import (
+    NORM_TOL,
+    RENORM_TOL,
     AlphaVector,
     NormalizedCoords,
     RIState,
@@ -131,6 +133,45 @@ class TestMakeRIState:
                     made = build(j1, j2, alphas)
                     vector = getattr(made, "coeffs", made)
                     assert (vector.alphas, getattr(made, "renormalized", False)) == expected
+
+
+# outcome of make_ri_state for the totals one ulp below, at and one ulp above
+# each tolerance edge; the same for every spin pair of TestNormalizationEdges
+EDGE_OUTCOMES = {
+    "1-RENORM_TOL": ("refused", "refused", "renormalized"),
+    "1-NORM_TOL": ("renormalized", "renormalized", "accepted"),
+    "1+NORM_TOL": ("accepted", "renormalized", "renormalized"),
+    "1+RENORM_TOL": ("renormalized", "renormalized", "refused"),
+}
+
+
+class TestNormalizationEdges:
+    """Vectors of several blocks whose intended weighted totals lie at the
+    NORM_TOL and RENORM_TOL edges: pinned so that a change in how the total
+    is summed shows as a changed verdict."""
+
+    SHARES = {1: (0.3, 0.7), 2: (0.2, 0.3, 0.5)}  # block probabilities by 2 j1
+
+    @staticmethod
+    def _outcome(j1, j2, alphas):
+        try:
+            state = make_ri_state(j1, j2, alphas)
+        except ValueError as exc:
+            assert str(exc).startswith("coefficients not normalized: weighted sum = ")
+            return "refused"
+        return "renormalized" if state.renormalized else "accepted"
+
+    @pytest.mark.parametrize("tj1,tj2", [(1, 2), (1, 9), (2, 2), (2, 6)])
+    @pytest.mark.parametrize("edge", sorted(EDGE_OUTCOMES))
+    def test_outcome_at_edge(self, tj1, tj2, edge):
+        j1, j2 = Spin(tj1), Spin(tj2)
+        sign, tol = edge[1], {"NORM_TOL": NORM_TOL, "RENORM_TOL": RENORM_TOL}[edge[2:]]
+        target = 1.0 + tol if sign == "+" else 1.0 - tol
+        w = block_weights(j1, j2).tolist()
+        outcomes = tuple(
+            self._outcome(j1, j2, tuple(total * c / wk for c, wk in zip(self.SHARES[tj1], w)))
+            for total in (math.nextafter(target, 0.0), target, math.nextafter(target, 2.0)))
+        assert outcomes == EDGE_OUTCOMES[edge]
 
 
 class TestToDensity:
