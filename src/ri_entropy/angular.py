@@ -10,6 +10,9 @@ Conventions:
   * Product-basis index order: first-factor magnetic number varies
     slowest, m values descending from +j.  The flat index of the
     product state |j1 m1>|j2 m2> is (j1 - m1) * N2 + (j2 - m2).
+
+Spins, coupling ranges and Clebsch-Gordan coefficients need no numpy; the
+dense operators import it on their first call.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, sqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Spin",
@@ -84,6 +89,7 @@ class DenseOperator:
     dims: tuple[int, int] | None = None
 
     def __post_init__(self):
+        import numpy as np
         mat = np.asarray(self.mat)
         mat = mat.astype(complex if np.iscomplexobj(mat) else float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -179,6 +185,7 @@ def clebsch_gordan(j1: Spin, m1, j2: Spin, m2, J: Spin, M) -> float:
 
 def coupled_basis_vector(j1: Spin, j2: Spin, J: Spin, M) -> np.ndarray:
     """|J M> expanded in the product basis, as a unit-norm real vector."""
+    import numpy as np
     if J not in coupling_range(j1, j2):
         raise ValueError(f"J={J} outside coupling range of {j1}, {j2}")
     tM = _check_magnetic(J, M, "M")
@@ -202,6 +209,7 @@ def projector(j1: Spin, j2: Spin, J: Spin) -> DenseOperator:
 # keyed on the doubled spins, as _coupling_range is
 @lru_cache(maxsize=128)
 def _projector(tj1: int, tj2: int, tJ: int) -> DenseOperator:
+    import numpy as np
     j1, j2, J = Spin(tj1), Spin(tj2), Spin(tJ)
     if J not in coupling_range(j1, j2):
         raise ValueError(f"J={J} outside coupling range of {j1}, {j2}")
@@ -218,6 +226,7 @@ def _projector(tj1: int, tj2: int, tJ: int) -> DenseOperator:
 def _projector_stacks(tj1: int, tj2: int) -> tuple[np.ndarray, np.ndarray]:
     """The flattened P_J of the spins (tj1/2, tj2/2), J ascending, as one read-only
     (n_J, dim^2) stack, and the read-only stack of their partial time reversals."""
+    import numpy as np
     ps = [_projector(tj1, tj2, J.twice_j) for J in _coupling_range(tj1, tj2)]
     stacks = (np.array([P.mat.ravel() for P in ps]),
               np.array([partial_time_reversal(P).mat.ravel() for P in ps]))
@@ -228,6 +237,7 @@ def _projector_stacks(tj1: int, tj2: int) -> tuple[np.ndarray, np.ndarray]:
 
 def rotation_y_pi(j: Spin) -> DenseOperator:
     """The pi-rotation about the y axis: V[m', m] = (-1)^(j-m) delta_{m', -m}."""
+    import numpy as np
     V = np.zeros((j.dim, j.dim))
     for col, tm in enumerate(j.twice_m_values()):
         row = (j.twice_j + tm) // 2  # index of m' = -m
@@ -237,6 +247,7 @@ def rotation_y_pi(j: Spin) -> DenseOperator:
 
 def partial_time_reversal(op: DenseOperator) -> DenseOperator:
     """theta_2 = I (x) theta on the second factor, theta(B) = V B^T V+."""
+    import numpy as np
     if op.dims is None:
         raise ValueError("partial_time_reversal needs an operator with factor dims")
     n1, n2 = op.dims

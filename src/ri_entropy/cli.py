@@ -9,6 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 validation error,
 3 unsupported spin family, 4 I/O error.  All numbers are emitted with 17
 significant digits; infinities appear as the literal string "inf".
+
+The oracle, and with it numpy, is imported only by the commands that run it:
+`ree --oracle`, `ree --force-oracle` and `verify`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import re
 import sys
 
-from .angular import Spin
+from .angular import Spin, coupling_range
 from .closed_form import (
     REEResult,
     UnsupportedFamilyError,
@@ -36,14 +39,8 @@ from .geometry import (
     ppt_polygon,
     simplex_vertices,
 )
-from .oracle import (
-    minimize_kl_over_interval,
-    minimize_kl_over_polygon,
-    verify_closed_form,
-)
 from .states import (
     NormalizedCoords,
-    block_weights,
     make_ri_state,
     normalized_to_raw,
     raw_to_normalized,
@@ -139,7 +136,7 @@ def cmd_ree(args) -> int:
         state = state_2xn(j2, float(args.p))
     elif args.alpha is not None:
         state = make_ri_state(j1, j2,
-                              _floats(args.alpha, len(block_weights(j1, j2)), "--alpha"))
+                              _floats(args.alpha, len(coupling_range(j1, j2)), "--alpha"))
     else:
         if j1.twice_j != 2:
             raise ValueError("--normalized applies to 3(x)N systems (j1 = 1) only")
@@ -170,6 +167,7 @@ def _report_payload(report) -> dict:
 
 
 def _oracle_report(state):
+    from .oracle import minimize_kl_over_interval, minimize_kl_over_polygon
     if state.j1.twice_j == 1:
         return minimize_kl_over_interval(state.j2, p_of_state(state))
     if state.j1.twice_j == 2:
@@ -252,6 +250,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import verify_closed_form
     family = args.family
     param = Spin.of(args.param).j if family == "2xN" else int(args.param)
     summary = verify_closed_form(family, param, samples=args.samples, seed=args.seed,

@@ -111,7 +111,7 @@ def state_2xn(j: Spin, p: float) -> RIState:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if j.twice_j < 1:
         raise ValueError("expected j2 >= j1")
-    w = _block_weights(1, j.twice_j)[0]
+    w = _block_weights(1, j.twice_j)
     p = float(p)
     return RIState(AlphaVector._unchecked(_SPIN_HALF, j, (p / w[0], (1.0 - p) / w[1])))
 
@@ -121,7 +121,7 @@ def p_of_state(state: RIState) -> float:
     if state.j1.twice_j != 1:
         raise ValueError("not a 2(x)N state")
     # a weighted total accepted up to NORM_TOL above 1 may put w_0 alpha_0 above 1
-    return min(_block_weights(1, state.j2.twice_j)[0][0] * state.coeffs.alphas[0], 1.0)
+    return min(_block_weights(1, state.j2.twice_j)[0] * state.coeffs.alphas[0], 1.0)
 
 
 def _value_2xn(tj: int, p: float) -> float:
@@ -222,6 +222,12 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
     return _discrete_kl((x, y, coords.ahat_hi), sigma), sigma, root
 
 
+def _value_3xn(N: int, coords: NormalizedCoords) -> float:
+    """E_r (odd N) or E_Gamma (even N) of a checked int N: the value alone,
+    without a minimizer; the value of `_ree_3xn`."""
+    return _value_in_region(N, coords, classify_region(N, coords))[0]
+
+
 def _ree_3xn(N: int, coords: NormalizedCoords) -> REEResult:
     """E_r (odd N) or E_Gamma (even N) of a checked int N; sigma needs no second check."""
     region = classify_region(N, coords)
@@ -254,7 +260,7 @@ def e_gamma_3xn_even(N: int, coords: NormalizedCoords) -> REEResult:
 
 def ree_dispatch(j1: Spin, j2: Spin, alphas) -> REEResult:
     """Route an alpha-vector to the closed form for its spin family."""
-    if j2 < j1:
+    if j2.twice_j < j1.twice_j:
         raise ValueError("expected j2 >= j1")
     return _ree_of_state(make_ri_state(j1, j2, alphas))
 

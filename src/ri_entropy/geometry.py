@@ -6,7 +6,8 @@ and the intersection (the PPT region, which equals the separable region
 for odd N) is the polygon A D A' E.  Everything here is charted on the
 raw (alpha_{j-1}, alpha_j) plane; most internal work happens in
 barycentric ("normalized") coordinates where the simplex is the standard
-triangle {x, y >= 0, x + y <= 1}.
+triangle {x, y >= 0, x + y <= 1}.  Only the vertex tables return arrays and
+import numpy, on their first call.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import enum
 import math
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .states import NormalizedCoords, _check_n, _prefactors
 
@@ -58,6 +57,7 @@ class Region(enum.Enum):
 
 def simplex_vertices(N: int):
     """Raw alpha-vectors of the simplex vertices A, B, C."""
+    import numpy as np
     N = _check_n(N)
     B, C, A = np.diag(_prefactors(N))  # each vertex has one nonzero alpha
     return A, B, C
@@ -65,6 +65,7 @@ def simplex_vertices(N: int):
 
 def ppt_image_vertices(N: int):
     """Raw alpha-vectors of the partial-time-reversal images A', B', C'."""
+    import numpy as np
     N = _check_n(N)
     Ap = np.array([
         math.sqrt(3 * (N - 2) / N),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import Spin
-from .closed_form import _ree_3xn, _value_2xn, separability_threshold
+from .closed_form import _value_2xn, _value_3xn, separability_threshold
 from .geometry import ppt_polygon
 from .states import NormalizedCoords, RIState, _check_n, _dense, _prefactors
 
@@ -227,10 +227,10 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
     """Compare the closed form against the oracle on seeded uniform samples.
 
     Families: "2xN" (param = j), "3x3", "3xN-odd", "3xN-even" (param = N).
-    The family and N are checked once per campaign; each 3(x)N sample then
-    goes straight to the closed form of that N.  The oracle runs on all
-    samples as one batch; 3(x)N samples are uniform on the simplex via
-    sorted uniform spacings.
+    The family and N are checked once per campaign; each sample's closed-form
+    value then comes from its family's value core, without a minimizer.  The
+    oracle runs on all samples as one batch; 3(x)N samples are uniform on the
+    simplex via sorted uniform spacings.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
@@ -254,7 +254,8 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
             raise ValueError("family 3xN-even needs even N >= 4")
         u = np.sort(rng.random((samples, 2)), axis=1)
         xs, ys = u[:, 0], u[:, 1] - u[:, 0]
-        closed = np.array([_ree_3xn(N, NormalizedCoords(x, y)).value for x, y in zip(xs, ys)])
+        closed = np.array([_value_3xn(N, NormalizedCoords(x, y))
+                           for x, y in zip(xs.tolist(), ys.tolist())])
         poly = _normalized_polygon(N, ppt_polygon(N))
         orac = _polygon_search(poly, xs, ys, _POLYGON_TOL)[2]
         inputs = (xs, ys)

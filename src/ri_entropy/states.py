@@ -12,15 +12,19 @@ discrete KL divergence.
 
 Conventions: natural logarithm everywhere, 0*ln(0) = 0 and support
 violations give +inf.
+
+numpy is imported only by the dense layer and the accessors that return
+arrays, on their first call: validation and the closed forms run without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING
 
 from .angular import DenseOperator, Spin, _projector_stacks, coupling_range
 
@@ -40,6 +44,9 @@ __all__ = [
     "normalized_to_raw",
 ]
 
+if TYPE_CHECKING:
+    import numpy as np
+
 NEG_CLAMP = 1e-12     # alpha_J in [-NEG_CLAMP, 0) is clamped to 0
 NORM_TOL = 1e-10      # strict normalization tolerance
 RENORM_TOL = 1e-8     # deviations below this are silently renormalized
@@ -48,19 +55,25 @@ RENORM_TOL = 1e-8     # deviations below this are silently renormalized
 def block_weights(j1: Spin, j2: Spin) -> np.ndarray:
     """w_J = sqrt((2J+1)/(N1 N2)) for J ascending over the coupling range.
 
-    Built once per (j1, j2) and shared: the returned array is read-only.
+    Built once per (j1, j2), on first call, and shared: the returned array is read-only.
     """
-    return _block_weights(j1.twice_j, j2.twice_j)[1]
+    return _block_weight_array(j1.twice_j, j2.twice_j)
 
 
 @lru_cache(maxsize=256)
-def _block_weights(tj1: int, tj2: int) -> tuple[tuple[float, ...], np.ndarray]:
-    """w_J of the spins (tj1/2, tj2/2) as a tuple of floats and as a read-only array."""
+def _block_weights(tj1: int, tj2: int) -> tuple[float, ...]:
+    """w_J of the spins (tj1/2, tj2/2) as a tuple of floats."""
     dim = (tj1 + 1) * (tj2 + 1)
-    weights = tuple(math.sqrt(J.dim / dim) for J in coupling_range(Spin(tj1), Spin(tj2)))
-    arr = np.array(weights)
+    return tuple(math.sqrt(J.dim / dim) for J in coupling_range(Spin(tj1), Spin(tj2)))
+
+
+@lru_cache(maxsize=256)
+def _block_weight_array(tj1: int, tj2: int) -> np.ndarray:
+    """`_block_weights` as a read-only array."""
+    import numpy as np
+    arr = np.array(_block_weights(tj1, tj2))
     arr.flags.writeable = False
-    return weights, arr
+    return arr
 
 
 class _NotNormalized(ValueError):
@@ -76,7 +89,7 @@ class AlphaVector:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
-        w = _block_weights(self.j1.twice_j, self.j2.twice_j)[1]
+        w = _block_weights(self.j1.twice_j, self.j2.twice_j)
         if len(self.alphas) != len(w):
             raise ValueError(
                 f"expected {len(w)} coefficients for ({self.j1}, {self.j2}), "
@@ -84,13 +97,18 @@ class AlphaVector:
         vals = [float(a) for a in self.alphas]
         clamped = [0.0 if a < 0.0 else a for a in vals]
         # normalization is judged first, on the clamped values, so that
-        # make_ri_state can repair any input whose total is within RENORM_TOL
-        total = float(w @ np.asarray(clamped))
+        # make_ri_state can repair any input whose total is within RENORM_TOL;
+        # fsum adds the rounded products exactly and rounds once, and raises
+        # only when finite terms sum past the float range: a total of inf
+        try:
+            total = math.fsum(map(mul, w, clamped))
+        except OverflowError:
+            total = math.inf
         if abs(total - 1.0) > NORM_TOL:
             exc = _NotNormalized(f"coefficients not normalized: weighted sum = {total}")
             exc.total = total
             raise exc
-        if self.j2 < self.j1:
+        if self.j2.twice_j < self.j1.twice_j:
             raise ValueError("expected j2 >= j1")
         for a in vals:
             if not math.isfinite(a):
@@ -113,6 +131,7 @@ class AlphaVector:
         return self
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.asarray(self.alphas)
 
     @property
@@ -188,7 +207,7 @@ def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
 
 def maximally_mixed(j1: Spin, j2: Spin) -> RIState:
     """The RI form of I/(N1 N2): alpha_J = sqrt((2J+1)/(N1 N2))."""
-    return make_ri_state(j1, j2, block_weights(j1, j2))
+    return make_ri_state(j1, j2, _block_weights(j1.twice_j, j2.twice_j))
 
 
 def _dense(state: RIState, image: int) -> np.ndarray:
@@ -196,7 +215,7 @@ def _dense(state: RIState, image: int) -> np.ndarray:
     the density) or its partial time reversal (image 1): one product over a stack."""
     tj1, tj2 = state.j1.twice_j, state.j2.twice_j
     dim = (tj1 + 1) * (tj2 + 1)
-    coeffs = state.alphas() / (dim * _block_weights(tj1, tj2)[1])  # dim w_J = sqrt(dim (2J+1))
+    coeffs = state.alphas() / (dim * _block_weight_array(tj1, tj2))  # dim w_J = sqrt(dim (2J+1))
     return (coeffs @ _projector_stacks(tj1, tj2)[image]).reshape(dim, dim)
 
 
@@ -217,18 +236,18 @@ def alpha_coords(op: DenseOperator, j1: Spin, j2: Spin) -> np.ndarray:
     # P_J is real symmetric, so Re tr(P_J op) = sum_ik P_J[i, k] Re op[i, k]: one
     # O(n_J dim^2) product over the stack of every P_J; sqrt(N1 N2 / (2J+1)) = 1 / w_J
     traces = _projector_stacks(tj1, tj2)[0] @ op.mat.real.ravel()
-    return traces / _block_weights(tj1, tj2)[1]
+    return traces / _block_weight_array(tj1, tj2)
 
 
 def twirl(op: DenseOperator, j1: Spin, j2: Spin) -> RIState:
     """Project a density matrix onto the RI family (group average over rotations)."""
-    tr = np.trace(op.mat).real
+    tr = op.mat.trace().real
     if abs(tr - 1.0) > NORM_TOL:
         raise ValueError(f"twirl input must have unit trace, got {tr}")
     return make_ri_state(j1, j2, alpha_coords(op, j1, j2))
 
 
-def _discrete_kl(p: np.ndarray, q: np.ndarray) -> float:
+def _discrete_kl(p, q) -> float:
     """sum p ln(p/q) with 0 ln 0 = 0 and support violation -> +inf."""
     total = 0.0
     for pi, qi in zip(p, q):
@@ -243,7 +262,9 @@ def kl_alpha(rho: RIState, sigma: RIState) -> float:
     """Relative entropy between two RI states from their block coefficients."""
     if (rho.j1, rho.j2) != (sigma.j1, sigma.j2):
         raise ValueError("states live on different spin pairs")
-    return _discrete_kl(rho.coeffs.probabilities(), sigma.coeffs.probabilities())
+    w = _block_weights(rho.j1.twice_j, rho.j2.twice_j)
+    return _discrete_kl(tuple(map(mul, w, rho.coeffs.alphas)),
+                        tuple(map(mul, w, sigma.coeffs.alphas)))
 
 
 HERMITICITY_TOL = 1e-10
@@ -253,6 +274,7 @@ SUPPORT_VIOLATION_TOL = 1e-10  # weight of a outside the support of b that makes
 
 def _density_eigh(op: DenseOperator, label: str, vectors: bool = True):
     """Eigenvalues (clipped at 0) and, if `vectors`, eigenvectors of a checked density."""
+    import numpy as np
     m = op.mat
     if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
         raise ValueError(f"{label} is not Hermitian")
@@ -290,8 +312,10 @@ def _check_n(N, minimum: int = 3) -> int:
     """N of a 3(x)N system as an int, whose arithmetic cannot overflow.
 
     An int or numpy integer >= `minimum` is accepted; anything else is refused.
+    A numpy integer exists only once numpy is loaded, so numpy is not imported here.
     """
-    if not isinstance(N, (int, np.integer)) or N < minimum:
+    np = sys.modules.get("numpy")
+    if not (isinstance(N, int) or np is not None and isinstance(N, np.integer)) or N < minimum:
         raise ValueError(f"need integer N >= {minimum}, got {N!r}")
     return int(N)
 
@@ -318,6 +342,12 @@ def raw_to_normalized(state: RIState) -> NormalizedCoords:
 _SPIN_ONE = Spin(2)
 
 
+@lru_cache(maxsize=256)
+def _spin_of_n(N: int) -> Spin:
+    """Spin(N - 1), the second spin of a 3(x)N system, built once per N."""
+    return Spin(N - 1)
+
+
 def _alpha_vector_3xn(N: int, lo: float, mid: float, hi: float) -> AlphaVector:
     """Alpha-vector of the barycentric point (lo, mid, hi) of a 3(x)N system.
 
@@ -326,7 +356,7 @@ def _alpha_vector_3xn(N: int, lo: float, mid: float, hi: float) -> AlphaVector:
     within a few ulps of 1.
     """
     p_lo, p_mid, p_hi = _prefactors(N)
-    return AlphaVector._unchecked(_SPIN_ONE, Spin(N - 1), (p_lo * lo, p_mid * mid, p_hi * hi))
+    return AlphaVector._unchecked(_SPIN_ONE, _spin_of_n(N), (p_lo * lo, p_mid * mid, p_hi * hi))
 
 
 def normalized_to_raw(N: int, coords: NormalizedCoords) -> RIState:

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -51,6 +50,14 @@ class TestRee:
         assert code == EXIT_OK
         assert rec["result"]["value"] == pytest.approx(math.log(2), abs=1e-12)
         assert rec["result"]["region"] == "TRI_A'CE"
+
+    def test_total_past_float_range_refused(self, capsys):
+        # the weighted total overflows: refused with exit 2, and no numpy warning,
+        # which the suite's error::RuntimeWarning filter would turn into a crash
+        code, out, err = run(capsys, "ree", "--j1", "1", "--j2", "1",
+                             "--alpha", "1.7e308,1.7e308,1.7e308")
+        assert (code, out, err) == (
+            EXIT_VALIDATION, "", "error: coefficients not normalized: weighted sum = inf\n")
 
     def test_even_family_labeled_with_disclaimer(self, capsys):
         code, out, _ = run(capsys, "ree", "--j1", "1", "--j2", "3/2",
@@ -220,9 +227,8 @@ class TestVerify:
         assert json.loads(out)["result"]["passed"] is True
 
     def test_zero_tolerance_fails(self, capsys, monkeypatch):
-        exact = ri_entropy.oracle._ree_3xn
-        monkeypatch.setattr(ri_entropy.oracle, "_ree_3xn", lambda N, c: dataclasses.replace(
-            exact(N, c), value=exact(N, c).value + 1e-3))
+        exact = ri_entropy.oracle._value_3xn
+        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, c: exact(N, c) + 1e-3)
         code, out, _ = run(capsys, "verify", "--family", "3x3", "--param", "3",
                            "--samples", "10", "--seed", "0", "--tol", "0")
         rec = json.loads(out)

@@ -1,6 +1,5 @@
 """Tests for the independent numerical oracles."""
 
-import dataclasses
 import hashlib
 import math
 
@@ -238,9 +237,8 @@ class TestVerifyClosedForm:
         assert a == b  # bit-identical summaries for identical seeds
 
     def test_zero_tolerance_fails(self, monkeypatch):
-        exact = ri_entropy.oracle._ree_3xn
-        monkeypatch.setattr(ri_entropy.oracle, "_ree_3xn", lambda N, c: dataclasses.replace(
-            exact(N, c), value=exact(N, c).value + 1e-3))
+        exact = ri_entropy.oracle._value_3xn
+        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, c: exact(N, c) + 1e-3)
         summary = verify_closed_form("3x3", 3, samples=20, seed=2, tol=0.0)
         assert not summary.passed
         assert summary.max_abs_diff == pytest.approx(1e-3, abs=1e-12)

@@ -1,6 +1,7 @@
 """Tests for the RI state family, the twirl, and the KL reductions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ class TestMakeRIState:
     def test_swapped_spins_rejected(self):
         with pytest.raises(ValueError):
             AlphaVector(Spin(2), Spin(1), (1.0, 1.0))
+
+    @pytest.mark.parametrize("tj1,tj2", [(1, 1), (2, 2), (2, 9)])
+    def test_total_past_float_range_refused_without_warning(self, tj1, tj2):
+        """Finite coefficients whose weighted total overflows are refused as a total of inf."""
+        alphas = (1.7e308,) * len(coupling_range(Spin(tj1), Spin(tj2)))
+        for build in (make_ri_state, AlphaVector, ree_dispatch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    build(Spin(tj1), Spin(tj2), alphas)
+            assert str(info.value) == "coefficients not normalized: weighted sum = inf"
 
     def test_refusals_come_from_alpha_vector(self):
         for alphas, message in (((2.0, 0.0, 0.0), "expected 2 coefficients"),
