@@ -65,7 +65,3 @@ def __getattr__(name):
         oracle = _importlib.import_module(".oracle", __name__)
         return oracle if name == "oracle" else getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

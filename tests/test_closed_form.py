@@ -533,9 +533,7 @@ def _golden_records():
     return records
 
 
-# a change to these is a change of closed-form output and must be deliberate; the
-# last re-record moved only three renormalized (1 + 1e-9) ree_dispatch records,
-# when the weighted total became one math.fsum
+# a change to these is a change of closed-form output and must be deliberate
 GOLDEN_COUNT = 496
 GOLDEN_SHA256 = "f12640e47b20445fce957cbd1e9fe4b77507f7951b11299fb55cacd1273ff362"
 

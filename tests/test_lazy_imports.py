@@ -72,7 +72,6 @@ from ri_entropy import to_density, verify_closed_form
 from ri_entropy import *
 out["same"] = verify_closed_form is ri_entropy.oracle.verify_closed_form is ri_entropy.verify_closed_form
 out["star"] = all(name in globals() for name in ri_entropy.__all__)
-out["dir"] = {"ppt_min_eigenvalue", "oracle", "to_density"} <= set(dir(ri_entropy))
 rho = to_density(ri_entropy.maximally_mixed(ri_entropy.Spin(1), ri_entropy.Spin(1)))
 out["trace"] = float(rho.mat.trace())
 out["passed"] = verify_closed_form("2xN", 0.5, samples=10, seed=0, tol=1e-6).passed
@@ -83,5 +82,5 @@ except AttributeError as exc:
 print(json.dumps(out))
 """)
     assert report == {"before": False, "oracle": "ri_entropy.oracle", "same": True,
-                      "star": True, "dir": True, "trace": 1.0, "passed": True,
+                      "star": True, "trace": 1.0, "passed": True,
                       "missing": "module 'ri_entropy' has no attribute 'no_such_name'"}

@@ -1,7 +1,6 @@
 """Tests for the RI state family, the twirl, and the KL reductions."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -86,17 +85,6 @@ class TestMakeRIState:
         with pytest.raises(ValueError):
             AlphaVector(Spin(2), Spin(1), (1.0, 1.0))
 
-    @pytest.mark.parametrize("tj1,tj2", [(1, 1), (2, 2), (2, 9)])
-    def test_total_past_float_range_refused_without_warning(self, tj1, tj2):
-        """Finite coefficients whose weighted total overflows are refused as a total of inf."""
-        alphas = (1.7e308,) * len(coupling_range(Spin(tj1), Spin(tj2)))
-        for build in (make_ri_state, AlphaVector, ree_dispatch):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError) as info:
-                    build(Spin(tj1), Spin(tj2), alphas)
-            assert str(info.value) == "coefficients not normalized: weighted sum = inf"
-
     def test_refusals_come_from_alpha_vector(self):
         for alphas, message in (((2.0, 0.0, 0.0), "expected 2 coefficients"),
                                 ((2.2, 0.0), "not normalized"),
@@ -127,6 +115,8 @@ class TestMakeRIState:
             # infinities: +inf spoils the total, -inf is clamped out of it
             (half, half, (math.inf, 0.0), not_normalized + "inf", not_normalized + "inf"),
             (half, half, (2.0, -math.inf), "non-finite coefficient", "non-finite coefficient"),
+            # finite coefficients whose total passes the float range: a total of inf
+            (one, one, (1.7e308,) * 3, not_normalized + "inf", not_normalized + "inf"),
             # swapped spins: the length is judged first, then the total
             (one, half, (2.0, 0.0, 0.0),
              "expected 2 coefficients for (Spin(1), Spin(1/2)), got 3",
@@ -147,14 +137,14 @@ class TestMakeRIState:
                     assert (vector.alphas, getattr(made, "renormalized", False)) == expected
 
 
-# outcome of make_ri_state for the totals one ulp below, at and one ulp above
-# each tolerance edge; the same for every spin pair of TestNormalizationEdges
-EDGE_OUTCOMES = {
-    "1-RENORM_TOL": ("refused", "refused", "renormalized"),
-    "1-NORM_TOL": ("renormalized", "renormalized", "accepted"),
-    "1+NORM_TOL": ("accepted", "renormalized", "renormalized"),
-    "1+RENORM_TOL": ("renormalized", "renormalized", "refused"),
-}
+# (a total at a tolerance edge, the make_ri_state verdicts one ulp below it, at it
+# and one ulp above it); the same for every spin pair of TestNormalizationEdges
+EDGE_OUTCOMES = [
+    (1.0 - RENORM_TOL, ("refused", "refused", "renormalized")),
+    (1.0 - NORM_TOL, ("renormalized", "renormalized", "accepted")),
+    (1.0 + NORM_TOL, ("accepted", "renormalized", "renormalized")),
+    (1.0 + RENORM_TOL, ("renormalized", "renormalized", "refused")),
+]
 
 
 class TestNormalizationEdges:
@@ -174,16 +164,15 @@ class TestNormalizationEdges:
         return "renormalized" if state.renormalized else "accepted"
 
     @pytest.mark.parametrize("tj1,tj2", [(1, 2), (1, 9), (2, 2), (2, 6)])
-    @pytest.mark.parametrize("edge", sorted(EDGE_OUTCOMES))
-    def test_outcome_at_edge(self, tj1, tj2, edge):
+    @pytest.mark.parametrize("edge,expected", EDGE_OUTCOMES,
+                             ids=["1-RENORM_TOL", "1-NORM_TOL", "1+NORM_TOL", "1+RENORM_TOL"])
+    def test_outcome_at_edge(self, tj1, tj2, edge, expected):
         j1, j2 = Spin(tj1), Spin(tj2)
-        sign, tol = edge[1], {"NORM_TOL": NORM_TOL, "RENORM_TOL": RENORM_TOL}[edge[2:]]
-        target = 1.0 + tol if sign == "+" else 1.0 - tol
         w = block_weights(j1, j2).tolist()
         outcomes = tuple(
             self._outcome(j1, j2, tuple(total * c / wk for c, wk in zip(self.SHARES[tj1], w)))
-            for total in (math.nextafter(target, 0.0), target, math.nextafter(target, 2.0)))
-        assert outcomes == EDGE_OUTCOMES[edge]
+            for total in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)))
+        assert outcomes == expected
 
 
 class TestToDensity:
