@@ -136,6 +136,58 @@ class TestMakeRIState:
                     vector = getattr(made, "coeffs", made)
                     assert (vector.alphas, getattr(made, "renormalized", False)) == expected
 
+    @staticmethod
+    def _built(build, j1, j2, alphas):
+        """(stored alphas, renormalized) of a build, or 'Error: message' of its refusal."""
+        try:
+            made = build(j1, j2, alphas)
+        except (TypeError, ValueError) as exc:
+            kind = ValueError if isinstance(exc, ValueError) else TypeError
+            return f"{kind.__name__}: {exc}"
+        return getattr(made, "coeffs", made).alphas, getattr(made, "renormalized", False)
+
+    def test_outside_input_types(self):
+        # (j1, j2, convert, alphas, make_ri_state outcome, AlphaVector outcome): each
+        # build is given convert(alphas), so that a generator is fresh for each
+        half, one, three_halves = Spin(1), Spin(2), Spin(3)
+        mixed = tuple(block_weights(one, three_halves).tolist())  # I/12 of 1(x)3/2
+
+        def generator(alphas):
+            return (a for a in alphas)
+
+        def float32(alphas):
+            return np.array(alphas, dtype=np.float32)
+
+        def strings(alphas):
+            return tuple(map(str, alphas))
+
+        not_normalized = "ValueError: coefficients not normalized: weighted sum = "
+        cases = [
+            (half, half, generator, (2.0, 0.0), ((2.0, 0.0), False),
+             "TypeError: object of type 'generator' has no len()"),
+            # a string that is not a number, in a vector of the wrong length
+            (half, half, tuple, ("x",), "ValueError: could not convert string to float: 'x'",
+             "ValueError: expected 2 coefficients for (Spin(1/2), Spin(1/2)), got 1"),
+            # numpy arrays, as twirl passes them: float32 rounding needs a repair
+            (one, three_halves, np.array, mixed, (mixed, False), (mixed, False)),
+            (one, three_halves, float32, mixed,
+             ((0.4082483087804747, 0.5773502637200133, 0.7071067750773667), True),
+             not_normalized + "0.9999999915254152"),
+            # numeric strings: floated, then renormalized
+            (half, half, strings, (2.000000001, 0.0), ((2.0, 0.0), True),
+             not_normalized + "1.0000000005"),
+            # a repaired vector whose divided coefficient lands just inside, and
+            # just past, -NEG_CLAMP
+            (half, half, tuple, (2.0 * (1 + 5e-9), -1e-12), ((2.0, 0.0), True),
+             not_normalized + "1.000000005"),
+            (half, half, tuple, (2.0 * (1 - 5e-9), -1.000000001e-12),
+             "ValueError: negative coefficient -1.000000006e-12",
+             not_normalized + "0.999999995"),
+        ]
+        for j1, j2, convert, alphas, by_make, by_vector in cases:
+            for build, expected in ((make_ri_state, by_make), (AlphaVector, by_vector)):
+                assert self._built(build, j1, j2, convert(alphas)) == expected
+
 
 # (a total at a tolerance edge, the make_ri_state verdicts one ulp below it, at it
 # and one ulp above it); the same for every spin pair of TestNormalizationEdges
