@@ -76,8 +76,38 @@ def _block_weight_array(tj1: int, tj2: int) -> np.ndarray:
     return arr
 
 
-class _NotNormalized(ValueError):
-    """AlphaVector's refusal of an unnormalized vector; `total` is its weighted sum."""
+def _checked_alphas(j1: Spin, j2: Spin, alphas, renorm_tol: float):
+    """(stored alphas, renormalized) of an outside coefficient vector, or its refusal.
+
+    Each coefficient is floated once, then judged in order: length, weighted total
+    of the values clamped at 0 (off 1 by more than NORM_TOL but less than `renorm_tol`,
+    it is divided out and judged again), spin order, finiteness, sign >= -NEG_CLAMP.
+    """
+    w = _block_weights(j1.twice_j, j2.twice_j)
+    vals = [float(a) for a in alphas]
+    if len(vals) != len(w):
+        raise ValueError(f"expected {len(w)} coefficients for ({j1}, {j2}), got {len(vals)}")
+    for renormalized in (False, True):  # at most one repair, then judged again
+        clamped = [0.0 if a < 0.0 else a for a in vals]
+        # fsum adds the rounded products exactly and rounds once, and raises
+        # only when finite terms sum past the float range: a total of inf
+        try:
+            total = math.fsum(map(mul, w, clamped))
+        except OverflowError:
+            total = math.inf
+        if renormalized or not NORM_TOL < abs(total - 1.0) < renorm_tol:
+            break
+        vals = [a / total for a in vals]
+    if abs(total - 1.0) > NORM_TOL:  # a NaN total is refused as non-finite below
+        raise ValueError(f"coefficients not normalized: weighted sum = {total}")
+    if j2.twice_j < j1.twice_j:
+        raise ValueError("expected j2 >= j1")
+    for a in vals:
+        if not math.isfinite(a):
+            raise ValueError("non-finite coefficient")
+        if a < -NEG_CLAMP:
+            raise ValueError(f"negative coefficient {a}")
+    return tuple(clamped), renormalized
 
 
 @dataclass(frozen=True)
@@ -89,42 +119,17 @@ class AlphaVector:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
-        w = _block_weights(self.j1.twice_j, self.j2.twice_j)
-        if len(self.alphas) != len(w):
-            raise ValueError(
-                f"expected {len(w)} coefficients for ({self.j1}, {self.j2}), "
-                f"got {len(self.alphas)}")
-        vals = [float(a) for a in self.alphas]
-        clamped = [0.0 if a < 0.0 else a for a in vals]
-        # normalization is judged first, on the clamped values, so that
-        # make_ri_state can repair any input whose total is within RENORM_TOL;
-        # fsum adds the rounded products exactly and rounds once, and raises
-        # only when finite terms sum past the float range: a total of inf
-        try:
-            total = math.fsum(map(mul, w, clamped))
-        except OverflowError:
-            total = math.inf
-        if abs(total - 1.0) > NORM_TOL:
-            exc = _NotNormalized(f"coefficients not normalized: weighted sum = {total}")
-            exc.total = total
-            raise exc
-        if self.j2.twice_j < self.j1.twice_j:
-            raise ValueError("expected j2 >= j1")
-        for a in vals:
-            if not math.isfinite(a):
-                raise ValueError("non-finite coefficient")
-            if a < -NEG_CLAMP:
-                raise ValueError(f"negative coefficient {a}")
-        object.__setattr__(self, "alphas", tuple(clamped))
+        # no renormalization: a total off by more than NORM_TOL is refused
+        object.__setattr__(self, "alphas", _checked_alphas(self.j1, self.j2, self.alphas, 0.0)[0])
 
     @classmethod
     def _unchecked(cls, j1: Spin, j2: Spin, alphas: tuple[float, ...]) -> AlphaVector:
         """An AlphaVector stored as given, without the checks of __post_init__.
 
-        Only for builders whose own checked inputs make the vector valid by
-        construction (`_alpha_vector_3xn`, `closed_form.state_2xn`): j2 >= j1,
-        one finite float >= 0 per block and a weighted total within a few ulps
-        of 1, so that __post_init__ would store the same floats.
+        Only for vectors stored by `_checked_alphas` (`make_ri_state`) and for
+        builders whose checked inputs make them valid (`_alpha_vector_3xn`,
+        `closed_form.state_2xn`): j2 >= j1, one finite float >= 0 per block and
+        a weighted total within a few ulps of 1, as __post_init__ would store.
         """
         self = object.__new__(cls)
         self.__dict__.update(j1=j1, j2=j2, alphas=alphas)  # frozen: bypass __setattr__
@@ -192,17 +197,11 @@ def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
     """Validate coefficients into an RIState.
 
     Small negatives (>= -1e-12) are clamped to zero; a weighted total off by
-    less than 1e-8 is divided out and flagged as `renormalized`.  AlphaVector
-    computes that total and makes every refusal.
+    less than 1e-8 is divided out and flagged as `renormalized`.
+    `_checked_alphas` makes every refusal and that repair.
     """
-    vals = tuple(float(a) for a in alphas)
-    try:
-        return RIState(AlphaVector(j1, j2, vals))
-    except _NotNormalized as exc:
-        if abs(exc.total - 1.0) >= RENORM_TOL:
-            raise
-        vals = tuple(a / exc.total for a in vals)
-    return RIState(AlphaVector(j1, j2, vals), renormalized=True)
+    alphas, renormalized = _checked_alphas(j1, j2, alphas, RENORM_TOL)
+    return RIState(AlphaVector._unchecked(j1, j2, alphas), renormalized=renormalized)
 
 
 def maximally_mixed(j1: Spin, j2: Spin) -> RIState:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ri_entropy import states
 from ri_entropy.angular import Spin
 from ri_entropy.closed_form import (
     Region,
@@ -581,13 +582,13 @@ class TestValidByConstruction:
 
     def test_closed_forms_validate_only_outside_vectors(self, monkeypatch):
         runs = []
-        validate = AlphaVector.__post_init__
+        validate = states._checked_alphas
 
-        def counted(self):
-            runs.append(self)
-            validate(self)
+        def counted(*args):
+            runs.append(args)
+            return validate(*args)
 
-        monkeypatch.setattr(AlphaVector, "__post_init__", counted)
+        monkeypatch.setattr(states, "_checked_alphas", counted)
 
         def runs_of(fn, *args):
             runs.clear()

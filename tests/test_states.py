@@ -163,11 +163,11 @@ class TestMakeRIState:
 
         not_normalized = "ValueError: coefficients not normalized: weighted sum = "
         cases = [
-            (half, half, generator, (2.0, 0.0), ((2.0, 0.0), False),
-             "TypeError: object of type 'generator' has no len()"),
-            # a string that is not a number, in a vector of the wrong length
+            (half, half, generator, (2.0, 0.0), ((2.0, 0.0), False), ((2.0, 0.0), False)),
+            # a string that is not a number, in a vector of the wrong length: each
+            # coefficient is floated before the length is judged
             (half, half, tuple, ("x",), "ValueError: could not convert string to float: 'x'",
-             "ValueError: expected 2 coefficients for (Spin(1/2), Spin(1/2)), got 1"),
+             "ValueError: could not convert string to float: 'x'"),
             # numpy arrays, as twirl passes them: float32 rounding needs a repair
             (one, three_halves, np.array, mixed, (mixed, False), (mixed, False)),
             (one, three_halves, float32, mixed,
