@@ -234,6 +234,8 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if not tol >= 0.0:  # NaN is refused too: no difference would pass it
+        raise ValueError(f"tol must be >= 0, got {tol}")
     rng = np.random.default_rng(seed)
 
     if family == "2xN":

@@ -231,6 +231,13 @@ class TestVerifyClosedForm:
         with pytest.raises(ValueError, match=r"^samples must be >= 0, got -1$"):
             verify_closed_form(family, param, samples=-1, seed=0, tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_invalid_tolerance_refused(self, tol):
+        for family, param in (("2xN", 1.0), ("3x3", 3)):
+            for samples in (0, 3):
+                with pytest.raises(ValueError, match=f"^tol must be >= 0, got {tol}$"):
+                    verify_closed_form(family, param, samples=samples, seed=0, tol=tol)
+
     def test_deterministic(self):
         a = verify_closed_form("3x3", 3, samples=25, seed=42, tol=1e-6)
         b = verify_closed_form("3x3", 3, samples=25, seed=42, tol=1e-6)
