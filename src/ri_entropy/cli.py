@@ -26,9 +26,10 @@ from .angular import Spin, coupling_range
 from .closed_form import (
     REEResult,
     UnsupportedFamilyError,
-    _ree_of_state,
+    _by_family,
+    _ree_3xn,
     _value_2xn,
-    p_of_state,
+    ree_2xn,
     separability_threshold,
     state_2xn,
 )
@@ -43,7 +44,6 @@ from .states import (
     NormalizedCoords,
     make_ri_state,
     normalized_to_raw,
-    raw_to_normalized,
 )
 
 SCHEMA_VERSION = "ri-entropy/1"
@@ -150,7 +150,7 @@ def cmd_ree(args) -> int:
     if args.force_oracle:
         result = {"quantity": "oracle_min", **_report_payload(_oracle_report(state))}
     else:
-        res = _ree_of_state(state)
+        res = _by_family(state, ree_2xn, _ree_3xn)
         result = _result_payload(res)
         if args.oracle:
             report = _oracle_report(state)
@@ -168,11 +168,7 @@ def _report_payload(report) -> dict:
 
 def _oracle_report(state):
     from .oracle import minimize_kl_over_interval, minimize_kl_over_polygon
-    if state.j1.twice_j == 1:
-        return minimize_kl_over_interval(state.j2, p_of_state(state))
-    if state.j1.twice_j == 2:
-        return minimize_kl_over_polygon(state.j2.dim, raw_to_normalized(state))
-    raise UnsupportedFamilyError("oracle minimization is implemented for j1 in {1/2, 1} only")
+    return _by_family(state, minimize_kl_over_interval, minimize_kl_over_polygon)
 
 
 def _emit(record: dict, fmt: str):

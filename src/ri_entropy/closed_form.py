@@ -262,16 +262,16 @@ def ree_dispatch(j1: Spin, j2: Spin, alphas) -> REEResult:
     """Route an alpha-vector to the closed form for its spin family."""
     if j2.twice_j < j1.twice_j:
         raise ValueError("expected j2 >= j1")
-    return _ree_of_state(make_ri_state(j1, j2, alphas))
+    return _by_family(make_ri_state(j1, j2, alphas), ree_2xn, _ree_3xn)
 
 
-def _ree_of_state(state: RIState) -> REEResult:
-    """Closed form for an already validated state, routed by its spin family."""
-    j1, j2 = state.j1, state.j2
-    if j1.twice_j == 1:
-        return ree_2xn(j2, p_of_state(state))
-    if j1.twice_j == 2:
-        return _ree_3xn(j2.dim, raw_to_normalized(state))
+def _by_family(state: RIState, two_by_n, three_by_n):
+    """A validated state routed by its spin family: two_by_n(j2, p) of a 2(x)N state,
+    three_by_n(N, coords) of a 3(x)N state; the closed forms and the oracle cover no other."""
+    if state.j1.twice_j == 1:
+        return two_by_n(state.j2, p_of_state(state))
+    if state.j1.twice_j == 2:
+        return three_by_n(state.j2.dim, raw_to_normalized(state))
     raise UnsupportedFamilyError(
-        f"no closed form for j1 = {j1.j}; only j1 in {{1/2, 1}} is supported "
+        f"no closed form for j1 = {state.j1.j}; only j1 in {{1/2, 1}} is supported "
         "(the oracle-only fallback --force-oracle is likewise restricted)")

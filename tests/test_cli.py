@@ -226,6 +226,14 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["result"]["passed"] is True
 
+    @pytest.mark.parametrize("tol,samples", [("nan", "3"), ("-1", "3"), ("-1", "0")])
+    def test_invalid_tolerance_is_a_validation_error(self, capsys, tol, samples):
+        # not a failed campaign (exit 1): the campaign is refused before it runs
+        code, out, err = run(capsys, "verify", "--family", "2xN", "--param", "1/2",
+                             "--samples", samples, "--tol", tol)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: tol must be >= 0, got {float(tol)}\n"
+
     def test_zero_tolerance_fails(self, capsys, monkeypatch):
         exact = ri_entropy.oracle._value_3xn
         monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, c: exact(N, c) + 1e-3)
@@ -361,6 +369,9 @@ PINNED = [
     ("ree --j1 1 --j2 2 --alpha=-0.5,0.9,0.37588444481314626", 2, "",
      "error: coefficients not normalized: weighted sum = 0.776393202250021\n"),
     ("ree --j1 3/2 --j2 3/2 --alpha 4,0,0,0", 3, "",
+     "error: no closed form for j1 = 1.5; only j1 in {1/2, 1} is supported"
+     " (the oracle-only fallback --force-oracle is likewise restricted)\n"),
+    ("ree --j1 3/2 --j2 3/2 --alpha 4,0,0,0 --force-oracle", 3, "",
      "error: no closed form for j1 = 1.5; only j1 in {1/2, 1} is supported"
      " (the oracle-only fallback --force-oracle is likewise restricted)\n"),
     # repaired inputs: a clamped -1e-13 coefficient (vertex C) and a vector off
