@@ -4,7 +4,7 @@ Subcommands:
   ree       compute E_r / E_Gamma for one state (JSON or text)
   curve     emit CSV curves p -> E_r for the 2(x)N family
   geometry  print vertex / landmark / area-ratio tables for 3(x)N
-  verify    run a closed-form-vs-oracle verification campaign
+  verify    run one closed-form-vs-oracle verification campaign, or all of them
 
 Exit codes: 0 success, 1 verification failure, 2 validation error,
 3 unsupported spin family, 4 I/O error.  All numbers are emitted with 17
@@ -167,15 +167,17 @@ def _report_payload(report) -> dict:
 
 
 def _oracle_report(state):
+    # routed before the import, so that an unsupported family is refused without numpy
+    which, point = _by_family(state, lambda *a: (0, a), lambda *a: (1, a))
     from .oracle import minimize_kl_over_interval, minimize_kl_over_polygon
-    return _by_family(state, minimize_kl_over_interval, minimize_kl_over_polygon)
+    return (minimize_kl_over_interval, minimize_kl_over_polygon)[which](*point)
 
 
-def _emit(record: dict, fmt: str):
+def _emit(record: dict, fmt: str, name: str | None = None):
     if fmt == "json":
         print(dumps_record(record))
     else:
-        _emit_text(record["result"], indent="")
+        _emit_text(record["result"], indent="", key=name)
 
 
 def _emit_text(obj, indent: str, key: str | None = None):
@@ -246,17 +248,24 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import verify_closed_form
-    family = args.family
-    param = Spin.of(args.param).j if family == "2xN" else int(args.param)
-    summary = verify_closed_form(family, param, samples=args.samples, seed=args.seed,
-                                 tol=args.tol)
-    command = {"name": "verify", "family": family, "param": args.param,
-               "samples": args.samples, "seed": args.seed, "tol": args.tol}
-    result = {"passed": summary.passed, "max_abs_diff": summary.max_abs_diff,
-              "worst_input": list(summary.worst_input)}
-    _emit(_record(command, result), args.format)
-    return EXIT_OK if summary.passed else EXIT_VERIFY_FAIL
+    if (args.family is None) != (args.param is None):
+        raise ValueError("give both --family and --param, or neither")
+    from .oracle import CAMPAIGNS, verify_closed_form
+    campaigns = [(args.family, args.param)] if args.family else [
+        (family, format_spin(Spin.of(param)) if family == "2xN" else str(param))
+        for family, param in CAMPAIGNS]
+    passed = True
+    for family, text in campaigns:
+        param = Spin.of(text).j if family == "2xN" else int(text)
+        summary = verify_closed_form(family, param, samples=args.samples, seed=args.seed,
+                                     tol=args.tol)
+        command = {"name": "verify", "family": family, "param": text,
+                   "samples": args.samples, "seed": args.seed, "tol": args.tol}
+        result = {"passed": summary.passed, "max_abs_diff": summary.max_abs_diff,
+                  "worst_input": list(summary.worst_input)}
+        _emit(_record(command, result), args.format, None if args.family else f"{family} {text}")
+        passed = passed and summary.passed
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_geometry)
 
-    p = sub.add_parser("verify", help="closed-form vs oracle campaign")
+    p = sub.add_parser("verify", help="closed-form vs oracle campaigns")
     p.add_argument("--family", choices=("2xN", "3x3", "3xN-odd", "3xN-even"),
-                   required=True)
-    p.add_argument("--param", required=True, help="j for 2xN, N otherwise")
+                   help="with --param, the one campaign to run; without both, all run")
+    p.add_argument("--param", help="j for 2xN, N otherwise")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)

@@ -136,6 +136,7 @@ def ree_2xn(j: Spin, p: float) -> REEResult:
     """REE of the 2(x)(2j+1) RI state with lower-block weight p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = float(p)
     pc = separability_threshold(j)
     if p <= pc:
         return REEResult(value=0.0, region=Region.SEPARABLE, minimizer=state_2xn(j, p).coeffs)

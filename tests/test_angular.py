@@ -76,6 +76,9 @@ class TestClebschGordan:
 
     def test_out_of_range_total_spin(self):
         assert clebsch_gordan(Spin(1), HALF, Spin(1), HALF, Spin(4), 2) == 0.0
+        # M = m1 + m2, so only the coupling range rules out J above j1 + j2 or below |j1 - j2|
+        assert clebsch_gordan(Spin(1), HALF, Spin(1), HALF, Spin(4), 1) == 0.0
+        assert clebsch_gordan(Spin(4), 0, Spin(1), HALF, Spin(1), HALF) == 0.0
 
     def test_invalid_magnetic_number(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ import pytest
 
 import ri_entropy.oracle
 from ri_entropy.angular import Spin
-from ri_entropy.cli import EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, EXIT_VERIFY_FAIL, main
+from ri_entropy.cli import (EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, EXIT_VERIFY_FAIL,
+                            format_spin, main)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -180,6 +181,12 @@ class TestCurve:
         assert run(capsys, "curve", "--out", str(path)) == (
             EXIT_IO, "", f"I/O error: [Errno 2] No such file or directory: '{path}'\n")
 
+    def test_too_few_points_refused_before_the_file_is_opened(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        assert run(capsys, "curve", "--points", "1", "--out", str(path)) == (
+            EXIT_VALIDATION, "", "error: --points must be at least 2\n")
+        assert not path.exists()
+
     def test_rejects_unknown_family(self, capsys, tmp_path):
         code, _, _ = run(capsys, "curve", "--family", "3xN",
                          "--out", str(tmp_path / "x.csv"))
@@ -283,6 +290,43 @@ class TestVerify:
                          "--samples", "5", "--seed", "0", "--tol", "1e-6")
         assert code == EXIT_VALIDATION
 
+    def test_every_campaign_when_no_family_is_given(self, capsys):
+        # one record per campaign of CAMPAIGNS, each the one-campaign command's own
+        opts = ("--samples", "1000", "--seed", "7", "--tol", "1e-6")
+        code, out, err = run(capsys, "verify", *opts)
+        assert (code, err) == (EXIT_OK, "")
+        records = out.splitlines(keepends=True)
+        assert len(records) == len(ri_entropy.oracle.CAMPAIGNS)
+        for line, (family, param) in zip(records, ri_entropy.oracle.CAMPAIGNS):
+            text = json.loads(line)["command"]["param"]
+            assert (Spin.of(text).j if family == "2xN" else int(text)) == param
+            assert run(capsys, "verify", "--family", family, "--param", text, *opts) == (
+                EXIT_OK, line, "")
+
+    def test_every_campaign_as_text_names_each_block(self, capsys):
+        opts = ("--samples", "20", "--seed", "7", "--format", "text")
+        code, out, _ = run(capsys, "verify", *opts)
+        blocks = []
+        for family, param in ri_entropy.oracle.CAMPAIGNS:
+            text = format_spin(Spin.of(param)) if family == "2xN" else str(param)
+            one = run(capsys, "verify", "--family", family, "--param", text, *opts)[1]
+            blocks.append(f"{family} {text}:\n" + "".join(
+                f"  {line}\n" for line in one.splitlines()))
+        assert (code, out) == (EXIT_OK, "".join(blocks))
+
+    def test_every_campaign_fails_if_one_fails(self, capsys, monkeypatch):
+        exact = ri_entropy.oracle._value_3xn
+        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, c: exact(N, c) + 1e-3)
+        code, out, _ = run(capsys, "verify", "--samples", "10", "--seed", "0")
+        passed = [json.loads(line)["result"]["passed"] for line in out.splitlines()]
+        assert code == EXIT_VERIFY_FAIL
+        assert passed == [family == "2xN" for family, _ in ri_entropy.oracle.CAMPAIGNS]
+
+    @pytest.mark.parametrize("option,value", [("--family", "2xN"), ("--param", "1")])
+    def test_family_without_param_or_param_without_family(self, capsys, option, value):
+        assert run(capsys, "verify", option, value, "--samples", "5") == (
+            EXIT_VALIDATION, "", "error: give both --family and --param, or neither\n")
+
 
 class TestSerialization:
     def test_seventeen_digit_floats_and_inf(self):
@@ -343,6 +387,25 @@ README_EXAMPLES = [
      ', "tol": 9.9999999999999995e-07}, "result": {"passed": true'
      ', "max_abs_diff": 3.8857805861880479e-16'
      ', "worst_input": [0.026452230317890457, 0.93646108806230555]}}\n'),
+    ("verify --samples 1000 --seed 7 --tol 1e-6", 0, "".join(
+        '{"schema_version": "ri-entropy/1", "command": {"name": "verify"'
+        f', "family": "{family}", "param": "{param}", "samples": 1000, "seed": 7'
+        ', "tol": 9.9999999999999995e-07}, "result": {"passed": true'
+        f', "max_abs_diff": {diff}, "worst_input": [{worst}]}}}}\n'
+        for family, param, diff, worst in [
+            ("2xN", "1/2", "9.5695773159082961e-17", "0.09624567762804348"),
+            ("2xN", "1", "1.6653345369377348e-16", "0.94494817114497953"),
+            ("2xN", "3/2", "6.2877994469694877e-17", "0.13508769347778971"),
+            ("2xN", "2", "1.9428902930940239e-16", "0.97156070846158005"),
+            ("3x3", "3", "2.2204460492503131e-16", "0.88869930670833275, 0.027624628265070283"),
+            ("3xN-odd", "5", "2.7755575615628914e-16",
+             "0.025791292595461535, 0.93591798228398082"),
+            ("3xN-odd", "7", "3.8857805861880479e-16",
+             "0.026452230317890457, 0.93646108806230555"),
+            ("3xN-even", "4", "4.9960036108132044e-16",
+             "0.033024481479104528, 0.90493467872192712"),
+            ("3xN-even", "6", "2.7755575615628914e-16",
+             "0.28249944782075675, 0.68102344998703035")])),
 ]
 README_CURVE = "curve --family 2xN --j-list 1/2,1,3/2 --points 201 --out curves.csv"
 README_CURVE_SHA256 = "53f88444fefa11aa61eaec3306b520b297b50fba821c9b04df1b5881d7596959"
@@ -418,6 +481,14 @@ PINNED = [
      ', "oracle": {"value": 0.21642780227875158, "optimum_point"'
      ': [0.058110274248893722, 0.63438318097283686], "iterations": 44'
      ', "converged": true, "abs_diff": 2.7755575615628914e-17}}}\n', ""),
+    ("ree --j1 1/2 --j2 1 --normalized 0.2,0.3", 2, "",
+     "error: --normalized applies to 3(x)N systems (j1 = 1) only\n"),
+    # text output nests the oracle block under its key
+    ("ree --j1 1/2 --j2 1/2 --p 1 --oracle --format text", 0,
+     "quantity: E_r\nvalue: 0.69314718055994529\nregion: ENTANGLED_INTERVAL\n"
+     "minimizer_alphas: 1, 0.57735026918962584\naux: None\noracle:\n"
+     "  value: 0.69314718055994529\n  optimum_point: 0.5\n  iterations: 47\n"
+     "  converged: True\n  abs_diff: 0\n", ""),
     # N = 2 is refused with the message of every 3(x)N entry point
     ("ree --j1 1 --j2 1/2 --normalized 0.2,0.3", 2, "",
      "error: need integer N >= 3, got 2\n"),

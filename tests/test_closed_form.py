@@ -96,6 +96,13 @@ class Test2xN:
                 with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {p}$"):
                     build(Spin(1), p)
 
+    def test_value_is_a_python_float_of_the_float64_p(self):
+        # a numpy float32 p is taken as the float64 of the same number
+        p = np.float32(0.9)
+        res = ree_2xn(Spin(1), p)
+        assert type(res.value) is float
+        assert res.value == ree_2xn(Spin(1), float(p)).value == 0.36806415478258403
+
     def test_spin_zero_second_factor_rejected(self):
         # spin 1/2 (x) spin 0 has one coupled block, so there is no 2(x)N state
         for p in (0.0, 0.5, 1.0):

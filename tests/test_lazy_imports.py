@@ -33,13 +33,15 @@ def fresh(script: str, *argv: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", [
-    ("ree", "--j1", "1", "--j2", "2", "--normalized", "0.5,0.3"),
-    ("ree", "--j1", "1/2", "--j2", "3/2", "--p", "0.9"),
-    ("ree", "--j1", "1", "--j2", "2", "--alpha", "0.5,0.9,0.37588444481314626"),
-], ids=["normalized", "p", "alpha"])
-def test_ree_loads_no_numpy(argv):
-    assert fresh(MAIN, *argv) == {"code": 0, "numpy": False}
+@pytest.mark.parametrize("argv,code", [
+    (("ree", "--j1", "1", "--j2", "2", "--normalized", "0.5,0.3"), 0),
+    (("ree", "--j1", "1/2", "--j2", "3/2", "--p", "0.9"), 0),
+    (("ree", "--j1", "1", "--j2", "2", "--alpha", "0.5,0.9,0.37588444481314626"), 0),
+    # an unsupported family is refused before the oracle is imported
+    (("ree", "--j1", "3/2", "--j2", "3/2", "--alpha", "4,0,0,0", "--force-oracle"), 3),
+], ids=["normalized", "p", "alpha", "force-oracle-refused"])
+def test_ree_loads_no_numpy(argv, code):
+    assert fresh(MAIN, *argv) == {"code": code, "numpy": False}
 
 
 def test_curve_loads_no_numpy(tmp_path):

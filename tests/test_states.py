@@ -15,7 +15,7 @@ from ri_entropy.angular import (
     partial_time_reversal,
     projector,
 )
-from ri_entropy.closed_form import ree_dispatch
+from ri_entropy.closed_form import p_of_state, ree_dispatch
 from ri_entropy.geometry import Region, classify_region
 from ri_entropy.oracle import ppt_min_eigenvalue
 from ri_entropy.states import (
@@ -404,6 +404,13 @@ class TestQuantumRelativeEntropy:
         with pytest.raises(ValueError):
             quantum_relative_entropy(DenseOperator(bad), DenseOperator(np.eye(2) / 2))
 
+    def test_rejects_mismatched_dimensions(self):
+        half, third = DenseOperator(np.eye(2) / 2), DenseOperator(np.eye(3) / 3)
+        with pytest.raises(ValueError, match="^operators must have equal dimension$"):
+            quantum_relative_entropy(half, third)
+        with pytest.raises(ValueError, match="^operator dimension 3 does not match"):
+            alpha_coords(third, Spin(1), Spin(1))
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(ValueError):
@@ -501,6 +508,13 @@ class TestNormalizedCoords:
         with pytest.raises(ValueError):
             NormalizedCoords(-0.1, 0.5)
 
+    @pytest.mark.parametrize("lo, mid", [(math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.1)])
+    def test_non_finite_rejected(self, lo, mid):
+        with pytest.raises(ValueError, match="^non-finite coordinates$"):
+            NormalizedCoords(lo, mid)
+
     def test_wrong_family_rejected(self):
         with pytest.raises(ValueError):
             raw_to_normalized(maximally_mixed(Spin(1), Spin(1)))
+        with pytest.raises(ValueError, match=r"^not a 2\(x\)N state$"):
+            p_of_state(maximally_mixed(Spin(2), Spin(2)))
