@@ -28,15 +28,32 @@ import math
 from dataclasses import dataclass
 
 from .angular import Spin
-from .geometry import Point2, Region, _normalized_chart, classify_region
+from .geometry import (
+    _ENTANGLED_INTERVAL,
+    _POLY_APRIME_FCE,
+    _POLY_APRIME_HBF,
+    _SEPARABLE,
+    _TRI_APRIME_BC,
+    _TRI_APRIME_BD,
+    _TRI_APRIME_CE,
+    _TRI_APRIME_DH,
+    Point2,
+    Region,
+    _classify_region,
+    _normalized_chart,
+)
 from .states import (
     AlphaVector,
     NormalizedCoords,
     RIState,
+    _alpha_vector_2xn,
     _alpha_vector_3xn,
     _block_weights,
     _check_n,
     _discrete_kl,
+    _new,
+    _ri_state,
+    _store,
     make_ri_state,
     raw_to_normalized,
 )
@@ -78,6 +95,32 @@ class REEResult:
     aux: RootInfo | None = None
 
 
+# Positional builders: the field stores of each frozen __init__, without its
+# keyword call.  A closed form's fields are valid by construction.
+
+_tuple_new = tuple.__new__  # Point2(x, y) is tuple.__new__(Point2, (x, y))
+
+
+def _root_info(branch: str, root: float, t: float, minimizer_point: Point2) -> RootInfo:
+    self = _new(RootInfo)
+    _store(self, "branch", branch)
+    _store(self, "root", root)
+    _store(self, "t", t)
+    _store(self, "minimizer_point", minimizer_point)
+    return self
+
+
+def _ree_result(value: float, region: Region, minimizer: AlphaVector, quantity: str,
+                aux: RootInfo | None) -> REEResult:
+    self = _new(REEResult)
+    _store(self, "value", value)
+    _store(self, "region", region)
+    _store(self, "minimizer", minimizer)
+    _store(self, "quantity", quantity)
+    _store(self, "aux", aux)
+    return self
+
+
 def _xlogy(p: float, arg: float) -> float:
     """p * ln(arg) with the 0 * ln(0) = 0 convention."""
     if p == 0.0:
@@ -96,24 +139,17 @@ def separability_threshold(j: Spin) -> float:
     return j.twice_j / (j.twice_j + 1)
 
 
-_SPIN_HALF = Spin(1)
-
-
 def state_2xn(j: Spin, p: float) -> RIState:
     """The 2(x)(2j+1) RI state with weight p on the lower total-spin block.
 
-    Valid by construction, so not checked again: with p in [0, 1] and
-    j >= 1/2 checked here, the coefficients p / w_0 and (1 - p) / w_1 are
-    >= 0 and their weighted total is within a few ulps of 1.  Every 2(x)N
-    `REEResult.minimizer` is built here.
+    Valid by construction, so not checked again (`_alpha_vector_2xn`): p in
+    [0, 1] and j >= 1/2 are checked here.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if j.twice_j < 1:
         raise ValueError("expected j2 >= j1")
-    w = _block_weights(1, j.twice_j)
-    p = float(p)
-    return RIState(AlphaVector._unchecked(_SPIN_HALF, j, (p / w[0], (1.0 - p) / w[1])))
+    return _ri_state(_alpha_vector_2xn(j, float(p)), False)
 
 
 def p_of_state(state: RIState) -> float:
@@ -137,11 +173,11 @@ def ree_2xn(j: Spin, p: float) -> REEResult:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     p = float(p)
-    pc = separability_threshold(j)
+    pc = separability_threshold(j)  # refuses j < 1/2
     if p <= pc:
-        return REEResult(value=0.0, region=Region.SEPARABLE, minimizer=state_2xn(j, p).coeffs)
-    return REEResult(value=_value_2xn(j.twice_j, p), region=Region.ENTANGLED_INTERVAL,
-                     minimizer=state_2xn(j, pc).coeffs)
+        return _ree_result(0.0, _SEPARABLE, _alpha_vector_2xn(j, p), "E_r", None)
+    return _ree_result(_value_2xn(j.twice_j, p), _ENTANGLED_INTERVAL, _alpha_vector_2xn(j, pc),
+                       "E_r", None)
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +209,21 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
     evaluated under both adjacent formulas (continuity tests).
     """
     x, y = coords.ahat_lo, coords.ahat_mid
+    if region is _SEPARABLE:
+        return 0.0, (x, y, coords.ahat_hi), None
     ch = _normalized_chart(N)  # N already checked by the caller
     root = None
 
-    if region is Region.SEPARABLE:
-        return 0.0, (x, y, coords.ahat_hi), None
-    if region is Region.TRI_APRIME_CE:
+    if region is _TRI_APRIME_CE:
         # N = 3: project from C onto the line EA' (sigma_y = 1/2)
         sigma = (x / (2.0 * (1.0 - y)) if y < 1.0 else 0.0, 0.5)
-    elif region is Region.TRI_APRIME_BD:
+    elif region is _TRI_APRIME_BD:
         # N = 3: project from B onto the line DA' (sigma_x = 1/3)
         sigma = (1.0 / 3.0, 2.0 * y / (3.0 * (1.0 - x)) if x < 1.0 else 0.0)
-    elif region is Region.POLY_APRIME_HBF or region is Region.TRI_APRIME_BC:
+    elif region is _POLY_APRIME_HBF or region is _TRI_APRIME_BC:
         # the whole region shares the minimizer A'
         sigma = (ch.a_prime.x, ch.a_prime.y)
-    elif region is Region.POLY_APRIME_FCE:
+    elif region is _POLY_APRIME_FCE:
         # minimizer on EA' at s = (N-1) a / (N-3), a the smaller root of
         # (N-1)^2 a^2 + t1 a + N(N-3) x = 0 (t1 < 0); disc is taken from the same
         # quadratic in 1 - s, whose constant c0 <= 0 is the A'-F form: no cancellation
@@ -199,7 +235,7 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
         s = min(max((N - 1) * a / (N - 3), 0.0), 1.0)
         sigma = _segment_root(ch.e, ch.a_prime, s)
         root = ("a", a, t1)
-    elif region is Region.TRI_APRIME_DH:
+    elif region is _TRI_APRIME_DH:
         # minimizer on the edge DA' at s = u / ((N+3)(N-1)(N-3)), where
         # u = 2N(N^2-5) b - K, K = (N+3)(N-1)^2, for the larger root b of
         # 2N(N^2-5) b^2 - t2 b + K x = 0; u solves u^2 + beta u - gamma = 0
@@ -226,17 +262,16 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
 def _value_3xn(N: int, coords: NormalizedCoords) -> float:
     """E_r (odd N) or E_Gamma (even N) of a checked int N: the value alone,
     without a minimizer; the value of `_ree_3xn`."""
-    return _value_in_region(N, coords, classify_region(N, coords))[0]
+    return _value_in_region(N, coords, _classify_region(N, coords))[0]
 
 
 def _ree_3xn(N: int, coords: NormalizedCoords) -> REEResult:
     """E_r (odd N) or E_Gamma (even N) of a checked int N; sigma needs no second check."""
-    region = classify_region(N, coords)
+    region = _classify_region(N, coords)
     value, sigma, root = _value_in_region(N, coords, region)
     minimizer = _alpha_vector_3xn(N, *sigma)
-    aux = None if root is None else RootInfo(*root, Point2(*minimizer.alphas[:2]))
-    return REEResult(value=value, region=region, minimizer=minimizer,
-                     quantity="E_Gamma" if N % 2 == 0 else "E_r", aux=aux)
+    aux = None if root is None else _root_info(*root, _tuple_new(Point2, minimizer.alphas[:2]))
+    return _ree_result(value, region, minimizer, "E_Gamma" if N % 2 == 0 else "E_r", aux)
 
 
 def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:

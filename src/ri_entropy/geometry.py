@@ -55,6 +55,14 @@ class Region(enum.Enum):
         return self.value
 
 
+# members bound once, as the closed forms return and compare them on every call:
+# a module name reads several times faster than Region.X, most of all before 3.12
+_SEPARABLE, _TRI_APRIME_DH, _POLY_APRIME_HBF, _POLY_APRIME_FCE = (
+    Region.SEPARABLE, Region.TRI_APRIME_DH, Region.POLY_APRIME_HBF, Region.POLY_APRIME_FCE)
+_TRI_APRIME_BD, _TRI_APRIME_BC, _TRI_APRIME_CE, _ENTANGLED_INTERVAL = (
+    Region.TRI_APRIME_BD, Region.TRI_APRIME_BC, Region.TRI_APRIME_CE, Region.ENTANGLED_INTERVAL)
+
+
 def simplex_vertices(N: int):
     """Raw alpha-vectors of the simplex vertices A, B, C."""
     import numpy as np
@@ -206,7 +214,11 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     a value-neutral choice as the closed forms are continuous.  The simplex
     edges are not tested: a float point just past x + y = 1 falls beyond BC.
     """
-    N = _check_n(N)
+    return _classify_region(_check_n(N), coords)
+
+
+def _classify_region(N: int, coords: NormalizedCoords) -> Region:
+    """`classify_region` of an N that `_check_n` has already returned."""
     x, y = coords.ahat_lo, coords.ahat_mid
     (d, (ad, bd, cd)), (e, (ae, be, ce)), (f, (af, bf, cf)), (h, (ah, bh, ch)) = _lines(N)
     # each form is > 0 on B's side of its line (on C's side for A'-E, and for
@@ -216,16 +228,16 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     if abs(se := ae * x + be * y - ce) <= _ROUNDING * (ae * x + be * y + ce):
         se = _exact_side(e, x, y)
     if sd <= 0 and se <= 0:
-        return Region.SEPARABLE
+        return _SEPARABLE
     if abs(sf := af * x + bf * y - cf) <= _ROUNDING * (af * x + bf * y + cf):
         sf = _exact_side(f, x, y)
     if sf <= 0 <= se:
-        return Region.POLY_APRIME_FCE if N > 3 else Region.TRI_APRIME_CE
+        return _POLY_APRIME_FCE if N > 3 else _TRI_APRIME_CE
     if abs(sh := ah * x + bh * y - ch) <= _ROUNDING * (ah * x + bh * y + ch):
         sh = _exact_side(h, x, y)
     if N > 3:
-        return Region.POLY_APRIME_HBF if sh >= 0 and sf >= 0 else Region.TRI_APRIME_DH
-    return Region.TRI_APRIME_BD if sd >= 0 >= sh else Region.TRI_APRIME_BC
+        return _POLY_APRIME_HBF if sh >= 0 and sf >= 0 else _TRI_APRIME_DH
+    return _TRI_APRIME_BD if sd >= 0 >= sh else _TRI_APRIME_BC
 
 
 def polygon_area_ratio(N: int) -> float:

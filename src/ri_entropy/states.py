@@ -51,6 +51,10 @@ NEG_CLAMP = 1e-12     # alpha_J in [-NEG_CLAMP, 0) is clamped to 0
 NORM_TOL = 1e-10      # strict normalization tolerance
 RENORM_TOL = 1e-8     # deviations below this are silently renormalized
 
+# the private builders store the fields of a frozen dataclass as its __init__
+# does, one object.__setattr__ each: bound once, they are module names
+_new, _store = object.__new__, object.__setattr__
+
 
 def block_weights(j1: Spin, j2: Spin) -> np.ndarray:
     """w_J = sqrt((2J+1)/(N1 N2)) for J ascending over the coupling range.
@@ -127,12 +131,14 @@ class AlphaVector:
         """An AlphaVector stored as given, without the checks of __post_init__.
 
         Only for vectors stored by `_checked_alphas` (`make_ri_state`) and for
-        builders whose checked inputs make them valid (`_alpha_vector_3xn`,
-        `closed_form.state_2xn`): j2 >= j1, one finite float >= 0 per block and
+        builders whose checked inputs make them valid (`_alpha_vector_2xn`,
+        `_alpha_vector_3xn`): j2 >= j1, one finite float >= 0 per block and
         a weighted total within a few ulps of 1, as __post_init__ would store.
         """
-        self = object.__new__(cls)
-        self.__dict__.update(j1=j1, j2=j2, alphas=alphas)  # frozen: bypass __setattr__
+        self = _new(cls)
+        _store(self, "j1", j1)  # the stores of the frozen __init__
+        _store(self, "j2", j2)
+        _store(self, "alphas", alphas)
         return self
 
     def as_array(self) -> np.ndarray:
@@ -193,6 +199,15 @@ class NormalizedCoords:
         return max(1.0 - self.ahat_lo - self.ahat_mid, 0.0)  # lo + mid may round to 1
 
 
+def _ri_state(coeffs: AlphaVector, renormalized: bool) -> RIState:
+    """RIState(coeffs, renormalized) by the field stores of its frozen __init__,
+    for a vector that is valid by construction or already checked."""
+    self = _new(RIState)
+    _store(self, "coeffs", coeffs)
+    _store(self, "renormalized", renormalized)
+    return self
+
+
 def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
     """Validate coefficients into an RIState.
 
@@ -201,7 +216,7 @@ def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
     `_checked_alphas` makes every refusal and that repair.
     """
     alphas, renormalized = _checked_alphas(j1, j2, alphas, RENORM_TOL)
-    return RIState(AlphaVector._unchecked(j1, j2, alphas), renormalized=renormalized)
+    return _ri_state(AlphaVector._unchecked(j1, j2, alphas), renormalized)
 
 
 def maximally_mixed(j1: Spin, j2: Spin) -> RIState:
@@ -338,13 +353,24 @@ def raw_to_normalized(state: RIState) -> NormalizedCoords:
     return NormalizedCoords(a[0] / pre[0], a[1] / pre[1])
 
 
-_SPIN_ONE = Spin(2)
+_SPIN_HALF, _SPIN_ONE = Spin(1), Spin(2)
 
 
 @lru_cache(maxsize=256)
 def _spin_of_n(N: int) -> Spin:
     """Spin(N - 1), the second spin of a 3(x)N system, built once per N."""
     return Spin(N - 1)
+
+
+def _alpha_vector_2xn(j: Spin, p: float) -> AlphaVector:
+    """Alpha-vector of the 2(x)(2j+1) state with lower-block weight p.
+
+    Valid by construction for j >= 1/2 and a float p in [0, 1]: the
+    coefficients p / w_0 and (1 - p) / w_1 are >= 0 and their weighted
+    total is within a few ulps of 1.
+    """
+    w = _block_weights(1, j.twice_j)
+    return AlphaVector._unchecked(_SPIN_HALF, j, (p / w[0], (1.0 - p) / w[1]))
 
 
 def _alpha_vector_3xn(N: int, lo: float, mid: float, hi: float) -> AlphaVector:
@@ -364,5 +390,5 @@ def normalized_to_raw(N: int, coords: NormalizedCoords) -> RIState:
     Valid by construction (`_alpha_vector_3xn`): coords has already refused
     or clamped its point.
     """
-    return RIState(_alpha_vector_3xn(
-        _check_n(N), coords.ahat_lo, coords.ahat_mid, coords.ahat_hi))
+    return _ri_state(_alpha_vector_3xn(
+        _check_n(N), coords.ahat_lo, coords.ahat_mid, coords.ahat_hi), False)

@@ -1,8 +1,12 @@
 """Tests for the closed-form E_r / E_Gamma expressions."""
 
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,8 +18,12 @@ from ri_entropy import states
 from ri_entropy.angular import Spin
 from ri_entropy.closed_form import (
     Region,
+    REEResult,
+    RootInfo,
     UnsupportedFamilyError,
     _ree_3xn,
+    _ree_result,
+    _root_info,
     _value_2xn,
     _value_3xn,
     _value_in_region,
@@ -473,11 +481,20 @@ class TestDispatch:
         assert res.value == pytest.approx(orac, abs=1e-9)
 
 
+def _sum_in_order(terms) -> float:
+    """Floats added left to right, rounding each sum: builtin sum() does so up
+    to Python 3.11 and compensates its rounding from 3.12 on."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _golden_calls():
     """(fn, args) of a fixed seeded input set.
 
     Inputs come from `random.Random`, whose stream does not depend on the
-    numpy version.
+    numpy or Python version, and from float arithmetic in a fixed order.
     """
     rnd = random.Random(20261018)
     calls = []
@@ -509,8 +526,8 @@ def _golden_calls():
             for _ in range(6):
                 cuts = sorted(rnd.random() for _ in range(len(poly) - 1))
                 weights = [b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])]
-                points.append((sum(wt * v.x for wt, v in zip(weights, poly)),
-                               sum(wt * v.y for wt, v in zip(weights, poly))))
+                points.append((_sum_in_order(wt * v.x for wt, v in zip(weights, poly)),
+                               _sum_in_order(wt * v.y for wt, v in zip(weights, poly))))
         for x, y in points:
             record(ree_3xn, N, NormalizedCoords(x, y))
         pre = (math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2)))
@@ -768,3 +785,151 @@ class TestNumpyIntegerN:
             ree_3xn_odd(7.0, coords)
         with pytest.raises(ValueError, match=r"^need integer N >= 3, got 8.0$"):
             e_gamma_3xn_even(8.0, coords)
+
+
+def _fast_path_objects():
+    """(label, object) of every type the closed forms build by field stores.
+
+    Each REEResult family through its library function and through
+    ree_dispatch, the RootInfo of each flanking result, every minimizer, and
+    the RIState of make_ri_state (plain and renormalized), state_2xn and
+    normalized_to_raw.
+    """
+    out = []
+
+    def result(label, res):
+        out.append((label, res))
+        out.append((f"{label} minimizer", res.minimizer))
+        if res.aux is not None:
+            out.append((f"{label} aux", res.aux))
+
+    for tj in (1, 3):
+        j = Spin(tj)
+        for p in (0.2, 0.97):
+            result(f"ree_2xn {tj} {p}", ree_2xn(j, p))
+            result(f"ree_dispatch 2xN {tj} {p}", ree_dispatch(Spin(1), j, state_2xn(j, p).alphas()))
+            out.append((f"state_2xn {tj} {p}", state_2xn(j, p)))
+    for N, fn in ((3, lambda N, c: ree_3x3(c)), (7, ree_3xn_odd), (8, e_gamma_3xn_even)):
+        for coords in _centroids(N):
+            result(f"3x{N} {coords}", fn(N, coords))
+            raw = normalized_to_raw(N, coords)
+            out.append((f"normalized_to_raw {N} {coords}", raw))
+            result(f"ree_dispatch 3x{N} {coords}", ree_dispatch(Spin(2), Spin(N - 1), raw.alphas()))
+    alphas = normalized_to_raw(7, NormalizedCoords(0.2, 0.3)).coeffs.alphas
+    out.append(("make_ri_state", make_ri_state(Spin(2), Spin(6), alphas)))
+    renormalized = make_ri_state(Spin(2), Spin(6), tuple(a * (1 + 1e-9) for a in alphas))
+    assert renormalized.renormalized
+    out.append(("make_ri_state renormalized", renormalized))
+    return out
+
+
+def _constructed(obj):
+    """A normally constructed instance with the fields of obj."""
+    return type(obj)(**{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+
+
+FAST_PATH_OBJECTS = _fast_path_objects()
+
+
+class TestFieldStoreBuilders:
+    """Results, root records, minimizers and states built by field stores keep the
+    contract of the frozen dataclasses they are instances of."""
+
+    def test_every_type_is_covered(self):
+        types = {type(obj) for _, obj in FAST_PATH_OBJECTS}
+        assert types == {REEResult, RootInfo, AlphaVector, RIState}
+        regions = {obj.region for _, obj in FAST_PATH_OBJECTS if type(obj) is REEResult}
+        assert regions == set(Region)
+
+    def test_equals_a_constructed_instance(self):
+        for label, obj in FAST_PATH_OBJECTS:
+            made = _constructed(obj)
+            assert obj == made and made == obj, label
+            assert hash(obj) == hash(made), label
+            assert repr(obj) == repr(made), label
+            names = [f.name for f in dataclasses.fields(obj)]
+            assert list(vars(obj)) == names == list(vars(made)), label
+            assert dataclasses.astuple(obj) == dataclasses.astuple(made), label
+
+    def test_frozen_and_picklable(self):
+        for label, obj in FAST_PATH_OBJECTS:
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(obj, f.name)
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is type(obj), label
+            assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj), label
+            assert list(vars(back)) == list(vars(obj)), label
+
+    def test_renormalized_stays_out_of_equality(self):
+        states_ = {label: obj for label, obj in FAST_PATH_OBJECTS}
+        plain, repaired = states_["make_ri_state"], states_["make_ri_state renormalized"]
+        assert (plain.renormalized, repaired.renormalized) == (False, True)
+        flipped = RIState(repaired.coeffs, renormalized=False)
+        assert repaired == flipped and hash(repaired) == hash(flipped)
+        assert pickle.loads(pickle.dumps(repaired)).renormalized is True
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython object layout")
+    def test_builders_use_the_compact_instance_layout(self):
+        """A built instance takes no more memory than one from the frozen __init__:
+        field stores, not a materialized per-instance __dict__."""
+
+        @dataclasses.dataclass(frozen=True)
+        class ThreeFields:  # AlphaVector's fields, without its validating __post_init__
+            j1: object
+            j2: object
+            alphas: object
+
+        def bytes_each(make, n=2000):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = [make() for _ in range(n)]
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(kept) == n
+            return (after - before) / n
+
+        res = ree_3xn_odd(7, NormalizedCoords(0.05, 0.9))
+        root, vec = res.aux, res.minimizer
+        state = make_ri_state(vec.j1, vec.j2, vec.alphas)
+        pairs = {
+            "REEResult": (lambda: _ree_result(res.value, res.region, vec, res.quantity, root),
+                          lambda: REEResult(res.value, res.region, vec, res.quantity, root)),
+            "RootInfo": (lambda: _root_info(root.branch, root.root, root.t, root.minimizer_point),
+                         lambda: RootInfo(root.branch, root.root, root.t, root.minimizer_point)),
+            "RIState": (lambda: states._ri_state(vec, True), lambda: RIState(vec, True)),
+            "AlphaVector": (lambda: AlphaVector._unchecked(vec.j1, vec.j2, vec.alphas),
+                            lambda: ThreeFields(vec.j1, vec.j2, vec.alphas)),
+        }
+        for name, (built, made) in pairs.items():
+            assert bytes_each(built) <= bytes_each(made) + 4, name
+
+
+class TestNCheckedOnce:
+    def test_closed_forms_check_n_once(self, monkeypatch):
+        """The closed forms check N at their entry and classify it without a second check."""
+        from ri_entropy import closed_form, geometry
+
+        runs = []
+
+        def counted(N, minimum=3):
+            runs.append(N)
+            return states._check_n(N, minimum)
+
+        monkeypatch.setattr(closed_form, "_check_n", counted)
+        monkeypatch.setattr(geometry, "_check_n", counted)
+        for N, fn in ((3, lambda N, c: ree_3x3(c)), (7, ree_3xn_odd), (8, e_gamma_3xn_even)):
+            for coords in _centroids(N):
+                runs.clear()
+                fn(N, coords)
+                assert len(runs) == (N > 3)  # ree_3x3 takes no N
+                runs.clear()
+                ree_dispatch(Spin(2), Spin(N - 1), normalized_to_raw(N, coords).alphas())
+                assert runs == []  # N = 2 j2 + 1 of a validated state
+        runs.clear()
+        classify_region(7, NormalizedCoords(0.2, 0.3))
+        assert runs == [7]
