@@ -1,19 +1,19 @@
 """Independent numerical verification of the closed forms.
 
-Derivative-free minimization of the reduced KL objective over the
-feasible set (the PPT interval for 2(x)N, a convex polygon for 3(x)N),
-dense partial-transpose eigenvalue tests, and a batch closed-form-vs-
-oracle comparison.  The objective is convex and the feasible sets are
-convex, so the minimum over a polygon is the state itself when it is
-feasible and otherwise lies on the boundary; one golden-section search
-per polygon edge, run in lockstep over every edge of every sample, finds
-it.  Infinite KL values act as sentinels that lose every comparison.
+Minimization of the reduced KL objective over the feasible set (the PPT
+interval for 2(x)N, a convex polygon for 3(x)N), dense partial-transpose
+eigenvalue tests, and a batch closed-form-vs-oracle comparison.  The
+objective and the sets are convex, so a feasible state is its own minimum
+and any other lies on the boundary: a safeguarded Newton search on the
+slope along each polygon edge (or the interval), in lockstep over every
+edge of every sample.  Infinite KL values lose every comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -32,10 +32,9 @@ __all__ = [
     "CAMPAIGNS",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_STEPS = 200  # 0.618**200 ~ 1e-42: reached only when rounding stalls a bracket above tol
-_INTERVAL_TOL = 1e-10  # final bracket width in q of the 2(x)N search
-_POLYGON_TOL = 1e-9    # final bracket width in the edge parameter s of the 3(x)N search
+_MAX_STEPS = 200  # reached only when tol is below the float grid at the optimum
+_INTERVAL_TOL = 1e-10  # certified bracket width in the parameter s = q / pc of the 2(x)N segment
+_POLYGON_TOL = 1e-9    # certified bracket width in the edge parameter s of the 3(x)N search
 
 # (family, param) of the closed-form-vs-oracle campaign over every family
 CAMPAIGNS = (("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),
@@ -45,8 +44,10 @@ CAMPAIGNS = (("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),
 
 @dataclass(frozen=True)
 class MinimizationReport:
+    """Value, point and steps of an oracle minimum, its certified bracket width in
+    the segment parameter s (widest polygon edge), and whether that met the tol."""
     optimum_value: float
-    optimum_point: tuple  # (p*,) for the interval, (x, y) barycentric for the polygon
+    optimum_point: tuple  # (q*,) for the interval, (x, y) barycentric for the polygon
     iterations: int
     final_box_size: float
     converged: bool
@@ -64,81 +65,99 @@ class VerificationSummary:
     passed: bool
 
 
-def _kl_from(p: np.ndarray, shape: tuple):
-    """The discrete KL q -> sum_k p[k] ln(p[k] / q[k]) for a fixed `p`, elementwise.
-
-    `p` is stacked as (outcomes, ...) and broadcasts against `shape`; `q` is
-    stacked as (outcomes, rows, *shape), one row per set of points, and the
-    result is (rows, *shape).  0 ln 0 = 0 and a support violation (p[k] > 0
-    where q[k] <= 0) gives +inf: q is floored at 0, where p ln(p / 0) = +inf,
-    and the terms of p[k] = 0 are set to 0.  Call it with numpy's divide and
-    invalid warnings off, as `_golden_section` does.
-    """
-    # stored at the full shape of a one-row q: numpy's loops over operands of
-    # one shape cost a fraction of broadcasting ones on these small arrays
-    p = np.ascontiguousarray(np.broadcast_to(p[:, None], (len(p), 1, *shape)))
-    off_support = ~(p > 0.0)
-
-    def kl(q):
-        terms = p * np.log(p / np.maximum(q, 0.0))
-        np.copyto(terms, 0.0, where=off_support)
-        return np.maximum(terms.sum(axis=0), 0.0)
-
-    return kl
+def _total(rows):
+    """Sum over the outcome axis, row by row: a batch adds as its scalar calls do."""
+    return sum(rows[1:], rows[0])
 
 
-def _golden_section(f, lo, hi, tol: float):
-    """Golden-section minimization of a convex f on every bracket [lo, hi] at once.
+def _segment_search(p, q0, q1, tol: float):
+    """Minimize KL(p || q0 + s (q1 - q0)) over s in [0, 1] for every column of the
+    (outcomes, columns) arrays at once, by a safeguarded Newton search on the slope
+    f'.  Step 1 tests the ends and starts the rest at the secant root of F = f' prod q,
+    which has the sign of f' and no pole where a q is 0; later steps take
+    Newton's step on F inside the bracket that the sign of f' shrinks, or
+    bisect it.  A column freezes at a point of finite f' once f' changes sign
+    across s -+ h, a bracket at most tol wide; a tol below the float grid runs
+    to `_MAX_STEPS`.  Returns (points q, values, steps, widths); each point is
+    the best of the search's point and the two ends."""
+    p, q0, q1 = np.broadcast_arrays(p, q0, q1)
+    on = p > 0.0
+    n, dim = p.shape[1], len(p)
+    s_out, widths, steps = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    live = np.flatnonzero(~(on & (q0 <= 0.0) & (q1 <= 0.0)).any(axis=0))
+    # a, q at s = 0 and p of the live columns, shaped (3, outcomes, 1, columns)
+    # against rows of points; an outcome off the support has q = 1 and adds 0
+    coef = np.array((np.where(on, q1 - q0, 0.0), np.where(on, q0, 1.0), p))[:, :, None, live]
+    h = max(0.25 * tol, 2.0 ** -52)
+    probes = np.array([[-h], [0.0], [h]])
+    step = 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        def slopes(t):  # f' at points t stacked as (rows, columns), with a / q, p a / q, q
+            a, b, pk = coef
+            q = np.maximum(b + t * a, 0.0)
+            u = a / q
+            r = pk * u
+            return -_total(r), u, r, q
 
-    `f` maps points stacked as (rows, *shape), one point per bracket in each
-    row, to their values; it runs with numpy's divide and invalid warnings
-    off.  All brackets step in lockstep until the widest is at most `tol`.
-    Returns (points, values, steps, final widths); each point is the best of
-    the final bracket and the original endpoints, ties going to the smaller.
-    """
-    lo0, hi0 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    lo, hi = lo0, hi0
-    w = hi - lo
-    d = _INVPHI * w
-    x1, x2 = hi - d, lo + d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f1, f2 = f(np.array((x1, x2)))
-        steps = 0  # an empty batch (w.size == 0) takes no step
-        while steps < _MAX_STEPS and w.size and w.max() > tol:
-            left = f1 <= f2  # the minimum lies in [lo, x2]
-            hi = np.where(left, x2, hi)
-            lo = np.where(left, lo, x1)
-            w = hi - lo
-            d = _INVPHI * w
-            x_new = np.where(left, hi - d, lo + d)
-            f_new = f(x_new[None])[0]
-            x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-            f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-            steps += 1
-        cands = np.array((lo0, lo, x1, x2, hi, hi0))  # ascending, so argmin breaks ties to the smaller
-        vals = f(cands)
-    best = np.argmin(vals, axis=0)[None]
-    points = np.take_along_axis(cands, best, axis=0)[0]
-    values = np.take_along_axis(vals, best, axis=0)[0]
-    return points, values, steps, w
+        (d0, d1), _, _, q = slopes(np.array([[0.0], [1.0]]))
+        hi = np.where(d0 >= 0.0, 0.0, 1.0)
+        lo = np.where(d1 <= 0.0, hi, 0.0)
+        f0, f1 = _total([coef[2, k] * coef[0, k] * reduce(mul, [q[i] for i in range(dim) if i != k])
+                         for k in range(dim)])  # -F at the ends
+        s = f0 / (f0 - f1)
+        s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
+        while live.size and step < _MAX_STEPS:
+            step += 1
+            t = s + probes
+            (dl, ds, dr), u, r, _ = slopes(t)
+            lo = np.where(ds < 0.0, s, lo)
+            hi = np.where(ds > 0.0, s, hi)
+            x = s - ds / _total(u[:, 1] * (r[:, 1] + ds))  # F / F' = f' / sum u (r + f') at s
+            newton = (x >= lo) & (x <= hi)
+            width = t[2] - t[0]
+            certified = ((dl <= 0.0) | (t[0] <= 0.0)) & ((dr >= 0.0) | (t[2] >= 1.0))
+            done = certified & (width <= tol) & np.isfinite(ds)  # at a point of finite KL
+            if step == _MAX_STEPS:  # the last certificate, else the bracket
+                widths[live] = np.where(certified, width, hi - lo)
+            s_next = np.where(newton, x, 0.5 * (lo + hi))
+            if done.any():
+                k = live[done]
+                # an end of the open bracket may be a q = 0 barrier: keep s there
+                s_out[k] = np.where((x > lo) & (x < hi) & (x >= t[0]) & (x <= t[2]), x, s)[done]
+                widths[k], steps[k] = width[done], step
+                keep = ~done
+                live, s_next, lo, hi = live[keep], s_next[keep], lo[keep], hi[keep]
+                coef = coef[..., keep]
+            s = s_next
+        s_out[live], steps[live] = s, step  # stopped by the cap
+        # the ends and the point, ascending: argmin breaks ties to the smaller s
+        cands = np.array((np.zeros(n), s_out, np.ones(n)))
+        q = np.maximum((1.0 - cands) * q0[:, None] + cands * q1[:, None], 0.0)
+        terms = p[:, None] * np.log(p[:, None] / q)
+        np.copyto(terms, 0.0, where=~on[:, None])
+        vals = np.maximum(_total(terms), 0.0)
+    best = np.argmin(vals, axis=0)
+    cols = np.arange(n)
+    return q[:, best, cols], vals[best, cols], steps, widths
 
 
 def _interval_search(j: Spin, ps: np.ndarray, tol: float):
-    """Batch minimization of KL(p || q) over q in [0, 2j/(2j+1)] for every p in `ps`."""
+    """Batch minimization of KL(p || q) over q in [0, pc = 2j/(2j+1)] for every p
+    in `ps`, one segment from q = (0, 1) to (pc, 1 - pc): (q*, values, steps, widths)."""
     if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise ValueError(f"p must lie in [0, 1], got {ps}")
-    lo = np.zeros_like(ps)
-    hi = np.full_like(ps, separability_threshold(j))
-    kl = _kl_from(np.array((ps, 1.0 - ps)), ps.shape)
-    return _golden_section(lambda q: kl(np.array((q, 1.0 - q))), lo, hi, tol)
+    pc = separability_threshold(j)
+    q, vals, steps, widths = _segment_search(
+        np.array((ps, 1.0 - ps)), np.array([[0.0], [1.0]]), np.array([[pc], [1.0 - pc]]), tol)
+    return q[0], vals, steps, widths
 
 
 def minimize_kl_over_interval(j: Spin, p: float) -> MinimizationReport:
-    """Golden-section minimization of KL(p || q) over q in [0, 2j/(2j+1)],
-    to a final bracket of `_INTERVAL_TOL` in q."""
+    """Minimize KL(p || q) over q in [0, pc = 2j/(2j+1)], to a certified bracket
+    of `_INTERVAL_TOL` in s = q / pc."""
     q, val, steps, width = _interval_search(j, np.array([float(p)]), _INTERVAL_TOL)
     return MinimizationReport(optimum_value=float(val[0]), optimum_point=(float(q[0]),),
-                              iterations=steps, final_box_size=float(width[0]),
+                              iterations=int(steps[0]), final_box_size=float(width[0]),
                               converged=bool(width[0] <= _INTERVAL_TOL))
 
 
@@ -161,51 +180,33 @@ def _inside_mask(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
 
 
 def _polygon_search(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float):
-    """Batch minimization of KL(rho || sigma) over sigma in a convex polygon.
-
-    A feasible state is its own minimizer (value 0, no search); for the
-    rest the minimum lies on the boundary and is the best of one
-    golden-section search per edge, all edges of all states in lockstep.
-    Returns (x*, y*, values, steps per state, final widths).
-    """
+    """Batch minimization of KL(rho || sigma) over sigma in a convex polygon: a
+    feasible state is its own minimizer (no search), any other the best of one
+    segment search per edge.  Returns (x*, y*, values, steps, widths), a state's
+    steps and width being the largest over its edges."""
     xs_opt, ys_opt = xs.copy(), ys.copy()
-    vals = np.zeros_like(xs)
+    vals, widths = np.zeros_like(xs), np.zeros_like(xs)
     steps = np.zeros(len(xs), dtype=int)
-    widths = np.zeros_like(xs)
     out = ~_inside_mask(poly, xs, ys)
     if out.any():
-        shape = (int(out.sum()), len(poly))
-        kl = _kl_from(np.array((xs, ys, 1.0 - xs - ys))[:, out, None], shape)
-        # x and y of each edge's start v0 and end v1, at the shape of one row of s
-        v0x, v0y, v1x, v1y = (np.ascontiguousarray(np.broadcast_to(c, (1, *shape)))
-                              for c in np.hstack((poly, np.roll(poly, -1, axis=0))).T)
-
-        def along(s):  # the point (x, y) at parameter s of each edge
-            u = 1.0 - s
-            return u * v0x + s * v1x, u * v0y + s * v1y
-
-        def f(s):
-            qx, qy = along(s)
-            return kl(np.array((qx, qy, 1.0 - qx - qy)))
-
-        s, edge_vals, n_steps, edge_widths = _golden_section(
-            f, np.zeros(shape), np.ones(shape), tol)
-        best = np.argmin(edge_vals, axis=1)
-        rows = np.arange(shape[0])
-        qx, qy = along(s[None])
-        xs_opt[out], ys_opt[out] = qx[0, rows, best], qy[0, rows, best]
+        m, n = int(out.sum()), len(poly)
+        verts = np.array((poly[:, 0], poly[:, 1], 1.0 - poly[:, 0] - poly[:, 1]))
+        # one column per (state, edge), from each edge's start to its end
+        p, q0, q1 = (np.broadcast_to(c, (3, m, n)).reshape(3, m * n) for c in (
+            np.array((xs, ys, 1.0 - xs - ys))[:, out, None], verts[:, None],
+            np.roll(verts, -1, axis=1)[:, None]))
+        q, *edge = _segment_search(p, q0, q1, tol)
+        edge_vals, edge_steps, edge_widths = (c.reshape(m, n) for c in edge)
+        rows, best = np.arange(m), np.argmin(edge_vals, axis=1)
+        xs_opt[out], ys_opt[out] = q[:2, rows * n + best]
         vals[out] = edge_vals[rows, best]
-        steps[out] = n_steps
-        widths[out] = edge_widths.max(axis=1)
+        steps[out], widths[out] = edge_steps.max(axis=1), edge_widths.max(axis=1)
     return xs_opt, ys_opt, vals, steps, widths
 
 
 def minimize_kl_over_polygon(N: int, coords: NormalizedCoords) -> MinimizationReport:
-    """Minimize KL(rho || sigma) over sigma in the PPT polygon ADA'E.
-
-    The search runs in barycentric coordinates and `_POLYGON_TOL` bounds the
-    final bracket in each edge's parameter s in [0, 1].
-    """
+    """Minimize KL(rho || sigma) over sigma in the PPT polygon ADA'E, in barycentric
+    coordinates, to a certified bracket of `_POLYGON_TOL` in each edge's s."""
     N = _check_n(N)
     poly = _normalized_polygon(N, ppt_polygon(N))
     x, y, val, steps, width = _polygon_search(

@@ -308,7 +308,8 @@ def quantum_relative_entropy(a: DenseOperator, b: DenseOperator) -> float:
     va, _ = _density_eigh(a, "first argument", vectors=False)
     vb, ub = _density_eigh(b, "second argument")
 
-    tr_a_ln_a = float(sum(x * math.log(x) for x in va.tolist() if x > SUPPORT_CUT))
+    # one correctly rounded sum: builtin sum() rounds differently from Python 3.12 on
+    tr_a_ln_a = math.fsum(x * math.log(x) for x in va.tolist() if x > SUPPORT_CUT)
 
     # <u_i| a |u_i> in the eigenbasis of b: one matrix product, then row sums
     overlaps = ((ub.conj().T @ a.mat) * ub.T).sum(axis=1).real

@@ -363,7 +363,7 @@ README_EXAMPLES = [
      ', "note": "E_Gamma is the minimum over PPT states: a lower bound of E_r'
      ' and an upper bound of distillable entanglement"'
      ', "oracle": {"value": 0.69314718055994529, "optimum_point": [0.5'
-     ', 0.40000000000000002], "iterations": 44, "converged": true'
+     ', 0.40000000000000002], "iterations": 2, "converged": true'
      ', "abs_diff": 0}}}\n'),
     ("ree --j1 1 --j2 2 --alpha 0.5,0.9,0.37588444481314626", 0,
      '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
@@ -385,27 +385,27 @@ README_EXAMPLES = [
      '{"schema_version": "ri-entropy/1", "command": {"name": "verify"'
      ', "family": "3xN-odd", "param": "7", "samples": 1000, "seed": 7'
      ', "tol": 9.9999999999999995e-07}, "result": {"passed": true'
-     ', "max_abs_diff": 3.8857805861880479e-16'
-     ', "worst_input": [0.026452230317890457, 0.93646108806230555]}}\n'),
+     ', "max_abs_diff": 3.0531133177191805e-16'
+     ', "worst_input": [0.21500403735588003, 0.75282401369294139]}}\n'),
     ("verify --samples 1000 --seed 7 --tol 1e-6", 0, "".join(
         '{"schema_version": "ri-entropy/1", "command": {"name": "verify"'
         f', "family": "{family}", "param": "{param}", "samples": 1000, "seed": 7'
         ', "tol": 9.9999999999999995e-07}, "result": {"passed": true'
         f', "max_abs_diff": {diff}, "worst_input": [{worst}]}}}}\n'
         for family, param, diff, worst in [
-            ("2xN", "1/2", "9.5695773159082961e-17", "0.09624567762804348"),
+            ("2xN", "1/2", "5.5511151231257827e-17", "0.81891664071893611"),
             ("2xN", "1", "1.6653345369377348e-16", "0.94494817114497953"),
-            ("2xN", "3/2", "6.2877994469694877e-17", "0.13508769347778971"),
-            ("2xN", "2", "1.9428902930940239e-16", "0.97156070846158005"),
-            ("3x3", "3", "2.2204460492503131e-16", "0.88869930670833275, 0.027624628265070283"),
-            ("3xN-odd", "5", "2.7755575615628914e-16",
-             "0.025791292595461535, 0.93591798228398082"),
-            ("3xN-odd", "7", "3.8857805861880479e-16",
-             "0.026452230317890457, 0.93646108806230555"),
-            ("3xN-even", "4", "4.9960036108132044e-16",
-             "0.033024481479104528, 0.90493467872192712"),
-            ("3xN-even", "6", "2.7755575615628914e-16",
-             "0.28249944782075675, 0.68102344998703035")])),
+            ("2xN", "3/2", "1.8964795977347352e-16", "0.14590151903260973"),
+            ("2xN", "2", "2.2023090424173299e-16", "0.0081681817214638297"),
+            ("3x3", "3", "3.3306690738754696e-16", "0.70731538602459421, 0.042971496214609051"),
+            ("3xN-odd", "5", "2.9143354396410359e-16",
+             "0.14186878961733085, 0.78053459040218243"),
+            ("3xN-odd", "7", "3.0531133177191805e-16",
+             "0.21500403735588003, 0.75282401369294139"),
+            ("3xN-even", "4", "3.6082248300317588e-16",
+             "0.018545745125166269, 0.81249827597032076"),
+            ("3xN-even", "6", "3.0531133177191805e-16",
+             "0.7555260958502994, 0.095954994618417389")])),
 ]
 README_CURVE = "curve --family 2xN --j-list 1/2,1,3/2 --points 201 --out curves.csv"
 README_CURVE_SHA256 = "53f88444fefa11aa61eaec3306b520b297b50fba821c9b04df1b5881d7596959"
@@ -456,7 +456,7 @@ PINNED = [
      ', 0.48795003647426666], "aux": {"a": 0, "t1": -10'
      ', "minimizer_point": [0, 1.1547005383792515]}'
      ', "oracle": {"value": 0.40546510810816438, "optimum_point": [0'
-     ', 0.66666666666666663], "iterations": 44, "converged": true'
+     ', 0.66666666666666663], "iterations": 2, "converged": true'
      ', "abs_diff": 0}}}\n', ""),
     ("ree --j1 1 --j2 2 --alpha 0.11180339943400648,1.5588457346062181"
      ",0.07319250583710252", 0,
@@ -478,16 +478,16 @@ PINNED = [
      ', "minimizer_alphas": [0.12993852547542178, 1.0987839000240229'
      ', 0.45014348862143688], "aux": {"a": 0.048425229309855218, "t1": -11.1'
      ', "minimizer_point": [0.12993852547542178, 1.0987839000240229]}'
-     ', "oracle": {"value": 0.21642780227875158, "optimum_point"'
-     ': [0.058110274248893722, 0.63438318097283686], "iterations": 44'
-     ', "converged": true, "abs_diff": 2.7755575615628914e-17}}}\n', ""),
+     ', "oracle": {"value": 0.21642780227875166, "optimum_point"'
+     ': [0.058110275171826251, 0.63438318046009656], "iterations": 6'
+     ', "converged": true, "abs_diff": 5.5511151231257827e-17}}}\n', ""),
     ("ree --j1 1/2 --j2 1 --normalized 0.2,0.3", 2, "",
      "error: --normalized applies to 3(x)N systems (j1 = 1) only\n"),
     # text output nests the oracle block under its key
     ("ree --j1 1/2 --j2 1/2 --p 1 --oracle --format text", 0,
      "quantity: E_r\nvalue: 0.69314718055994529\nregion: ENTANGLED_INTERVAL\n"
      "minimizer_alphas: 1, 0.57735026918962584\naux: None\noracle:\n"
-     "  value: 0.69314718055994529\n  optimum_point: 0.5\n  iterations: 47\n"
+     "  value: 0.69314718055994529\n  optimum_point: 0.5\n  iterations: 2\n"
      "  converged: True\n  abs_diff: 0\n", ""),
     # N = 2 is refused with the message of every 3(x)N entry point
     ("ree --j1 1 --j2 1/2 --normalized 0.2,0.3", 2, "",
@@ -507,13 +507,13 @@ PINNED = [
      ', "j2": "1", "p": 0.90000000000000002, "alpha": null, "normalized": null'
      ', "oracle": false, "force_oracle": true}, "result": {"quantity": "oracle_min"'
      ', "value": 0.14969685277271072, "optimum_point": [0.66666666666666663]'
-     ', "iterations": 48, "converged": true}}\n', ""),
+     ', "iterations": 2, "converged": true}}\n', ""),
     ("ree --j1 1 --j2 2 --normalized 0.9,0.05 --force-oracle", 0,
      '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
      ', "j2": "2", "p": null, "alpha": null, "normalized": "0.9,0.05"'
      ', "oracle": false, "force_oracle": true}, "result": {"quantity": "oracle_min"'
-     ', "value": 0.25527460072161184, "optimum_point": [0.59663503612400159'
-     ', 0.32772506020666936], "iterations": 44, "converged": true}}\n', ""),
+     ', "value": 0.2552746007216119, "optimum_point": [0.59663503655702754'
+     ', 0.32772506092837916], "iterations": 6, "converged": true}}\n', ""),
     # a weighted total 5e-11 above 1 is accepted as given: p = w_0 alpha_0 is
     # taken as 1 by the closed form and by both oracle routes
     ("ree --j1 1/2 --j2 1/2 --alpha 2.0000000001,0", 0,
@@ -529,12 +529,12 @@ PINNED = [
      ', "value": 0.69314718055994529, "region": "ENTANGLED_INTERVAL"'
      ', "minimizer_alphas": [1, 0.57735026918962584], "aux": null'
      ', "oracle": {"value": 0.69314718055994529, "optimum_point": [0.5]'
-     ', "iterations": 47, "converged": true, "abs_diff": 0}}}\n', ""),
+     ', "iterations": 2, "converged": true, "abs_diff": 0}}}\n', ""),
     ("ree --j1 1/2 --j2 1/2 --alpha 2.0000000001,0 --force-oracle", 0,
      '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1/2"'
      ', "j2": "1/2", "p": null, "alpha": "2.0000000001,0", "normalized": null'
      ', "oracle": false, "force_oracle": true}, "result": {"quantity": "oracle_min"'
-     ', "value": 0.69314718055994529, "optimum_point": [0.5], "iterations": 47'
+     ', "value": 0.69314718055994529, "optimum_point": [0.5], "iterations": 2'
      ', "converged": true}}\n', ""),
 ]
 

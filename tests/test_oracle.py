@@ -19,6 +19,7 @@ from ri_entropy.oracle import (
     _interval_search,
     _normalized_polygon,
     _polygon_search,
+    _segment_search,
     minimize_kl_over_interval,
     minimize_kl_over_polygon,
     ppt_min_eigenvalue,
@@ -64,7 +65,7 @@ class TestIntervalOracle:
     def test_search_reaches_its_tol(self, tol):
         ps = np.random.default_rng(6).random(30)
         steps, widths = _interval_search(Spin(3), ps, tol)[2:]
-        assert widths.max() <= tol and steps < _MAX_STEPS
+        assert widths.max() <= tol and steps.max() < _MAX_STEPS
 
     def test_unreachable_tol_stops_unconverged(self, monkeypatch):
         # rounding stalls the bracket far above 1e-300; the search must still end
@@ -83,7 +84,7 @@ class TestIntervalOracle:
             assert report.optimum_value == vals[k]
             assert report.optimum_point == (q[k],)
             assert report.final_box_size == widths[k]
-            assert report.iterations == steps
+            assert report.iterations == steps[k]
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
@@ -175,6 +176,93 @@ class TestPolygonOracle:
             orac = minimize_kl_over_polygon(N, coords).optimum_value
             assert orac >= closed - 1e-9
             assert orac <= closed + 1e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSegmentSearch:
+    """The Newton line search at the optimum, at the vertices and on infinite edges."""
+
+    @pytest.mark.parametrize("tj", [1, 2, 3, 4, 9])
+    def test_interval_optimum_point_is_p(self, tj):
+        """Below the threshold the minimizer is q = p itself (value 0): the last
+        Newton step puts the point within 4 ulps of p."""
+        j = Spin(tj)
+        ps = np.random.default_rng(700 + tj).random(200) * separability_threshold(j)
+        q = _interval_search(j, ps, _INTERVAL_TOL)[0]
+        assert (np.abs(q - ps) <= 4 * np.spacing(ps)).all()
+        assert minimize_kl_over_interval(Spin(1), 0.3).optimum_point == (0.3,)
+
+    @pytest.mark.parametrize("tj", [1, 2, 5])
+    def test_interval_ends_are_exact(self, tj):
+        j = Spin(tj)
+        pc = separability_threshold(j)
+        q, vals, steps, widths = _interval_search(j, np.array([0.0, pc, 1.0]), _INTERVAL_TOL)
+        assert q.tolist() == [0.0, pc, pc]
+        assert vals.tolist() == [0.0, 0.0, float(np.log(1.0 / pc))]  # KL(1 || pc)
+        assert (steps < _MAX_STEPS).all() and (widths <= _INTERVAL_TOL).all()
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 101])
+    def test_polygon_vertices_are_exact(self, N):
+        """The simplex vertices A, B, C and the polygon's own vertices: every
+        optimum is a polygon vertex (C at N = 3 lies over the flat edge A'E,
+        y = 1/2) and its value is the KL to that vertex, with no NaN."""
+        poly = _normalized_polygon(N, ppt_polygon(N))
+        pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)] + [tuple(v) for v in poly.tolist()]
+        xs, ys = (np.array(c) for c in zip(*pts))
+        bx, by, vals, steps, widths = _polygon_search(poly, xs, ys, _POLYGON_TOL)
+        assert not np.isnan(np.concatenate((bx, by, vals, widths))).any()
+        assert (steps < _MAX_STEPS).all() and (widths <= _POLYGON_TOL).all()
+        corners = [tuple(v) for v in poly.tolist()]
+        for (x, y), ox, oy, val in zip(pts, bx, by, vals):
+            if (x, y) in corners:
+                assert (ox, oy, val) == (x, y, 0.0)
+                continue
+            assert (ox, oy) in corners or (N == 3 and oy == 0.5)
+            p, q = np.array((x, y, 1.0 - x - y)), np.array((ox, oy, 1.0 - ox - oy))
+            assert val == pytest.approx(sum(pk * math.log(pk / qk) for pk, qk in zip(p, q)
+                                            if pk > 0.0), abs=1e-15)
+
+    def test_infinite_edge_loses(self):
+        """Edge A-D lies on y = 0: a state with y > 0 has KL +inf along all of
+        it, which takes no step and loses to the finite edges."""
+        poly = _normalized_polygon(5, ppt_polygon(5))
+        (ax, ay), (dx, dy) = poly[0], poly[1]
+        q, vals, steps, widths = _segment_search(
+            np.array([[0.9], [0.05], [0.05]]), np.array([[ax], [ay], [1.0 - ax - ay]]),
+            np.array([[dx], [dy], [1.0 - dx - dy]]), _POLYGON_TOL)
+        assert vals.tolist() == [math.inf] and steps.tolist() == [0]
+        assert q[:, 0].tolist() == [ax, ay, 1.0 - ax - ay]
+        report = minimize_kl_over_polygon(5, NormalizedCoords(0.9, 0.05))
+        assert report.optimum_value == pytest.approx(
+            ree_3xn_odd(5, NormalizedCoords(0.9, 0.05)).value, abs=1e-15)
+
+    @pytest.mark.parametrize("N", [3, 4, 101])
+    def test_batch_equals_scalar_calls_at_the_boundary(self, N):
+        """Vertices, points on edges and states with a coordinate of 0 or of
+        5e-324 freeze at different steps; each keeps its scalar call's bits."""
+        poly = _normalized_polygon(N, ppt_polygon(N))
+        pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.9, 5e-324), (5e-324, 0.99),
+               (0.6, 0.0), (0.0, 0.7), (0.3, 0.7)]
+        for i in range(len(poly)):
+            (ox, oy), (qx, qy) = poly[i], poly[(i + 1) % len(poly)]
+            pts += [(ox, oy), (ox + 0.5 * (qx - ox), oy + 0.5 * (qy - oy))]
+        xs, ys = (np.array(c) for c in zip(*pts))
+        batch = _polygon_search(poly, xs, ys, _POLYGON_TOL)
+        for k, (x, y) in enumerate(pts):
+            report = minimize_kl_over_polygon(N, NormalizedCoords(x, y))
+            assert (report.optimum_value, *report.optimum_point, report.iterations,
+                    report.final_box_size) == tuple(c[k] for c in (
+                        batch[2], batch[0], batch[1], batch[3], batch[4]))
+            assert report.converged
+
+    def test_interval_batch_equals_scalar_calls_at_the_boundary(self):
+        j = Spin(3)
+        ps = np.array([0.0, 5e-324, 1e-300, separability_threshold(j), 0.9, 1.0])
+        q, vals, steps, widths = _interval_search(j, ps, _INTERVAL_TOL)
+        for k, p in enumerate(ps):
+            report = minimize_kl_over_interval(j, float(p))
+            assert (report.optimum_value, *report.optimum_point, report.iterations,
+                    report.final_box_size) == (vals[k], q[k], steps[k], widths[k])
 
 
 class TestPPTEigenvalue:
@@ -325,7 +413,7 @@ class TestIndependentRoute:
 
 # SHA-256 of `oracle_fingerprint()`: any change to a bit of the oracle's
 # searches or campaign summaries changes it
-ORACLE_FINGERPRINT = "0ea05a6f04c156d396b361f6899d1005b0e31ad4f6895178919849209d2fd548"
+ORACLE_FINGERPRINT = "f84653b7c6107ac84512b962b0a636b778b4779c407a6cc989de26342ad97e60"
 
 
 def oracle_fingerprint() -> str:
