@@ -12,7 +12,10 @@ Conventions:
     product state |j1 m1>|j2 m2> is (j1 - m1) * N2 + (j2 - m2).
 
 Spins, coupling ranges and Clebsch-Gordan coefficients need no numpy; the
-dense operators import it on their first call.
+dense operators import it on their first call.  An RI state and its partial
+time reversal commute with J_z, so they are block diagonal by total M, the
+key i1 + i2 of the flat index (j1 - m1) * N2 + (j2 - m2): `_m_blocks`
+holds those blocks, padded to one size, for the dense layer's eigen-solves.
 """
 
 from __future__ import annotations
@@ -233,6 +236,39 @@ def _projector_stacks(tj1: int, tj2: int) -> tuple[np.ndarray, np.ndarray]:
     for stack in stacks:
         stack.flags.writeable = False
     return stacks
+
+
+# keyed on the factor dims; built on first use, as the stacks are
+@lru_cache(maxsize=64)
+def _m_blocks(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(take, pad, zero), read-only: the total-M blocks of the n1 n2 product basis.
+
+    Index i1 n2 + i2 has M = j1 + j2 - i1 - i2, so an operator that commutes with J_z
+    (an RI state, its partial time reversal) is block diagonal by i1 + i2: n1 + n2 - 1
+    blocks of at most k = min(n1, n2).  `take` holds each block's positions in the
+    raveled matrix, padded to k by position `zero`, entry (0, 1), which is off the
+    blocks; `pad` is 1 on the padded diagonal."""
+    import numpy as np
+    key = np.add.outer(np.arange(n1), np.arange(n2)).ravel()
+    k, dim, zero = min(n1, n2), n1 * n2, min(1, n1 * n2 - 1)
+    idx = np.full((n1 + n2 - 1, k), -1)
+    for K in range(n1 + n2 - 1):
+        members = np.flatnonzero(key == K)
+        idx[K, :len(members)] = members
+    real = idx[:, :, None] >= 0
+    take = np.where(real & real.swapaxes(1, 2), idx[:, :, None] * dim + idx[:, None, :], zero)
+    pad = np.where(~real & np.eye(k, dtype=bool), 1.0, 0.0)
+    take.flags.writeable = pad.flags.writeable = False
+    return take, pad, zero
+
+
+# keyed on the doubled spins, as _projector_stacks is
+@lru_cache(maxsize=64)
+def _reversed_blocks(tj1: int, tj2: int) -> np.ndarray:
+    """The reversed stack of `_projector_stacks` in the block layout of `_m_blocks`, read-only."""
+    stack = _projector_stacks(tj1, tj2)[1][:, _m_blocks(tj1 + 1, tj2 + 1)[0].ravel()]
+    stack.flags.writeable = False
+    return stack
 
 
 def rotation_y_pi(j: Spin) -> DenseOperator:

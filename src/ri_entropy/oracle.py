@@ -17,7 +17,7 @@ from operator import mul
 
 import numpy as np
 
-from .angular import Spin
+from .angular import Spin, _m_blocks, _reversed_blocks
 from .closed_form import _value_2xn, _value_3xn, separability_threshold
 from .geometry import ppt_polygon
 from .states import NormalizedCoords, RIState, _check_n, _dense, _prefactors
@@ -74,10 +74,10 @@ def _segment_search(p, q0, q1, tol: float):
     """Minimize KL(p || q0 + s (q1 - q0)) over s in [0, 1] for every column of the
     (outcomes, columns) arrays at once, by a safeguarded Newton search on the slope
     f'.  Step 1 tests the ends and starts the rest at the secant root of F = f' prod q,
-    which has the sign of f' and no pole where a q is 0; later steps take
-    Newton's step on F inside the bracket that the sign of f' shrinks, or
-    bisect it.  A column freezes at a point of finite f' once f' changes sign
-    across s -+ h, a bracket at most tol wide; a tol below the float grid runs
+    which has the sign of f' and no pole where a q is 0, kept 2^-53 inside the ends;
+    later steps take Newton's step on F inside the bracket that the sign of f'
+    shrinks, or bisect it.  A column freezes at a point of finite f' once f' changes
+    sign across s -+ h, a bracket at most tol wide; a tol below the float grid runs
     to `_MAX_STEPS`.  Returns (points q, values, steps, widths); each point is
     the best of the search's point and the two ends."""
     p, q0, q1 = np.broadcast_arrays(p, q0, q1)
@@ -105,6 +105,11 @@ def _segment_search(p, q0, q1, tol: float):
         f0, f1 = _total([coef[2, k] * coef[0, k] * reduce(mul, [q[i] for i in range(dim) if i != k])
                          for k in range(dim)])  # -F at the ends
         s = f0 / (f0 - f1)
+        # an optimum within the float resolution of an end where a q is 0 puts the
+        # secant root on that end, where the slope is infinite and every later step
+        # would bisect toward it: start at least 2^-53 inside (at 1, the nearest
+        # float), where the slope is finite and the probes reach the end
+        s = np.minimum(np.maximum(s, 2.0 ** -53), 1.0 - 2.0 ** -53)
         s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
         while live.size and step < _MAX_STEPS:
             step += 1
@@ -218,9 +223,14 @@ def minimize_kl_over_polygon(N: int, coords: NormalizedCoords) -> MinimizationRe
 
 
 def ppt_min_eigenvalue(state: RIState) -> float:
-    """Smallest eigenvalue of the partial time-reversal of the dense state: the
-    reversal is linear, so the image is a sum of the reversed projectors."""
-    return float(np.linalg.eigvalsh(_dense(state, 1))[0])
+    """Smallest eigenvalue of the partial time-reversal of the dense state: one product
+    over the reversed projectors gives its padded total-M blocks (`angular._m_blocks`),
+    and one eigvalsh call solves them.  The padding's 1 is the most any eigenvalue of
+    a reversed state can be, so it never lowers the minimum."""
+    tj1, tj2 = state.j1.twice_j, state.j2.twice_j
+    pad = _m_blocks(tj1 + 1, tj2 + 1)[1]
+    return float(np.linalg.eigvalsh(
+        _dense(state, _reversed_blocks(tj1, tj2)).reshape(pad.shape) + pad).min())
 
 
 def verify_closed_form(family: str, param, samples: int, seed: int,

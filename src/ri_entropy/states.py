@@ -15,6 +15,10 @@ violations give +inf.
 
 numpy is imported only by the dense layer and the accessors that return
 arrays, on their first call: validation and the closed forms run without it.
+The dense layer solves the total-M blocks of its operators (see `angular`):
+`quantum_relative_entropy` stacks both arguments' blocks, padded to one
+size, into one eigen-solve each when both are 0 off those blocks, and
+solves the whole matrices otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .angular import DenseOperator, Spin, _projector_stacks, coupling_range
+from .angular import DenseOperator, Spin, _m_blocks, _projector_stacks, coupling_range
 
 __all__ = [
     "AlphaVector",
@@ -224,18 +228,33 @@ def maximally_mixed(j1: Spin, j2: Spin) -> RIState:
     return make_ri_state(j1, j2, _block_weights(j1.twice_j, j2.twice_j))
 
 
-def _dense(state: RIState, image: int) -> np.ndarray:
-    """The real (dim, dim) sum_J alpha_J / sqrt(N1 N2 (2J+1)) S_J, S_J = P_J (image 0:
-    the density) or its partial time reversal (image 1): one product over a stack."""
-    tj1, tj2 = state.j1.twice_j, state.j2.twice_j
-    dim = (tj1 + 1) * (tj2 + 1)
-    coeffs = state.alphas() / (dim * _block_weight_array(tj1, tj2))  # dim w_J = sqrt(dim (2J+1))
-    return (coeffs @ _projector_stacks(tj1, tj2)[image]).reshape(dim, dim)
+@lru_cache(maxsize=256)
+def _density_scales(tj1: int, tj2: int) -> np.ndarray:
+    """dim w_J = sqrt(dim (2J+1)) of the spins (tj1/2, tj2/2), read-only."""
+    arr = (tj1 + 1) * (tj2 + 1) * _block_weight_array(tj1, tj2)
+    arr.flags.writeable = False
+    return arr
+
+
+def _dense(state: RIState, stack: np.ndarray) -> np.ndarray:
+    """sum_J alpha_J / sqrt(N1 N2 (2J+1)) S_J over the rows of a stack of the state's spins."""
+    return state.alphas() / _density_scales(state.j1.twice_j, state.j2.twice_j) @ stack
+
+
+def _dense_operator(mat: np.ndarray, dims: tuple[int, int]) -> DenseOperator:
+    """DenseOperator(mat, dims) by its frozen __init__'s stores, for a fresh float64 matrix."""
+    mat.flags.writeable = False
+    self = _new(DenseOperator)
+    _store(self, "mat", mat)
+    _store(self, "dims", dims)
+    return self
 
 
 def to_density(state: RIState) -> DenseOperator:
     """Dense matrix of an RI state; eigenvalue on block J is alpha_J / sqrt(N1 N2 (2J+1))."""
-    return DenseOperator(_dense(state, 0), dims=(state.j1.dim, state.j2.dim))
+    n1, n2 = state.j1.dim, state.j2.dim
+    mat = _dense(state, _projector_stacks(n1 - 1, n2 - 1)[0])
+    return _dense_operator(mat.reshape(n1 * n2, n1 * n2), (n1, n2))
 
 
 def alpha_coords(op: DenseOperator, j1: Spin, j2: Spin) -> np.ndarray:
@@ -286,11 +305,11 @@ SUPPORT_CUT = 1e-12            # eigenvalues at or below this lie outside the su
 SUPPORT_VIOLATION_TOL = 1e-10  # weight of a outside the support of b that makes S(a||b) = +inf
 
 
-def _density_eigh(op: DenseOperator, label: str, vectors: bool = True):
-    """Eigenvalues (clipped at 0) and, if `vectors`, eigenvectors of a checked density."""
+def _density_eigh(m: np.ndarray, label: str, vectors: bool = True):
+    """Eigenvalues (clipped at 0) and, if `vectors`, eigenvectors of a checked density's
+    (blocks, k, k) stack of diagonal blocks."""
     import numpy as np
-    m = op.mat
-    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+    if np.abs(m - m.conj().swapaxes(1, 2)).max() > HERMITICITY_TOL:
         raise ValueError(f"{label} is not Hermitian")
     vals, vecs = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     if vals.min() < -HERMITICITY_TOL:
@@ -298,23 +317,41 @@ def _density_eigh(op: DenseOperator, label: str, vectors: bool = True):
     return np.maximum(vals, 0.0), vecs
 
 
+def _diagonal_blocks(a: DenseOperator, b: DenseOperator):
+    """(blocks, k, k) stacks of a and b: their padded total-M blocks (`_m_blocks`) if
+    both have the same dims and are 0 off the blocks, else the whole matrices.  a is
+    padded with 0, which drops out of tr a ln a, and b with 1, whose ln is 0.  Each
+    on-block entry is read once and the padding reads entry `zero`: with that entry
+    0, the blocks hold every nonzero entry exactly when the matrix is 0 off them."""
+    import numpy as np
+    if a.dims is not None and a.dims == b.dims:
+        take, pad, zero = _m_blocks(*a.dims)
+        ma, mb = a.mat.ravel()[take], b.mat.ravel()[take]
+        if a.mat.item(zero) == b.mat.item(zero) == 0 and (
+                np.count_nonzero(a.mat) + np.count_nonzero(b.mat)
+                == np.count_nonzero(ma) + np.count_nonzero(mb)):
+            return ma, mb + pad
+    return a.mat[None], b.mat[None]
+
+
 def quantum_relative_entropy(a: DenseOperator, b: DenseOperator) -> float:
-    """S(a||b) = tr(a ln a - a ln b) via Hermitian eigendecomposition.
+    """S(a||b) = tr(a ln a - a ln b) via Hermitian eigendecompositions of `_diagonal_blocks`.
 
     Returns +inf when the support of a is not contained in the support of b.
     """
     if a.dim != b.dim:
         raise ValueError("operators must have equal dimension")
-    va, _ = _density_eigh(a, "first argument", vectors=False)
-    vb, ub = _density_eigh(b, "second argument")
+    ma, mb = _diagonal_blocks(a, b)
+    va, _ = _density_eigh(ma, "first argument", vectors=False)
+    vb, ub = _density_eigh(mb, "second argument")
 
     # one correctly rounded sum: builtin sum() rounds differently from Python 3.12 on
-    tr_a_ln_a = math.fsum(x * math.log(x) for x in va.tolist() if x > SUPPORT_CUT)
+    tr_a_ln_a = math.fsum(x * math.log(x) for x in va.ravel().tolist() if x > SUPPORT_CUT)
 
-    # <u_i| a |u_i> in the eigenbasis of b: one matrix product, then row sums
-    overlaps = ((ub.conj().T @ a.mat) * ub.T).sum(axis=1).real
+    # <u_i| a |u_i> in the eigenbasis of b: one product per block, then row sums
+    overlaps = ((ub.conj().swapaxes(1, 2) @ ma) * ub.swapaxes(1, 2)).sum(axis=2).real
     tr_a_ln_b = 0.0
-    for lam, w in zip(vb.tolist(), overlaps.tolist()):
+    for lam, w in zip(vb.ravel().tolist(), overlaps.ravel().tolist()):
         if lam <= SUPPORT_CUT:
             if w > SUPPORT_VIOLATION_TOL:
                 return math.inf

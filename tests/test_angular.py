@@ -9,7 +9,9 @@ import pytest
 from ri_entropy.angular import (
     DenseOperator,
     Spin,
+    _m_blocks,
     _projector_stacks,
+    _reversed_blocks,
     clebsch_gordan,
     coupled_basis_vector,
     coupling_range,
@@ -191,6 +193,41 @@ class TestProjectorStacks:
             assert not stack.flags.writeable
             with pytest.raises(ValueError):
                 stack[0, 0] = 1.0
+
+
+class TestMBlocks:
+    """The total-M block table: each on-block entry once, padding elsewhere."""
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 4), (2, 2), (2, 11), (3, 3), (3, 11), (4, 2)])
+    def test_blocks_cover_each_on_block_entry_once(self, n1, n2):
+        take, pad, zero = _m_blocks(n1, n2)
+        dim, nb, k = n1 * n2, n1 + n2 - 1, min(n1, n2)
+        key = [i1 + i2 for i1 in range(n1) for i2 in range(n2)]
+        assert take.shape == pad.shape == (nb, k, k)
+        assert dim == 1 or key[zero // dim] != key[zero % dim]
+        for K in range(nb):  # every index has one key, so the blocks partition the basis
+            members = [i for i in range(dim) if key[i] == K]
+            size = len(members)
+            assert 1 <= size <= k
+            expected = np.full((k, k), zero)
+            expected[:size, :size] = np.add.outer(np.array(members) * dim, members)
+            np.testing.assert_array_equal(take[K], expected)
+            np.testing.assert_array_equal(pad[K], np.diag([0.0] * size + [1.0] * (k - size)))
+
+    @pytest.mark.parametrize("tj1, tj2", [(1, 3), (2, 2), (2, 10)])
+    def test_reversed_blocks_are_the_reversed_stack_in_block_layout(self, tj1, tj2):
+        take, _, zero = _m_blocks(tj1 + 1, tj2 + 1)
+        images = _projector_stacks(tj1, tj2)[1]
+        assert not images[:, zero].any()  # the padding reads an exact zero
+        np.testing.assert_array_equal(_reversed_blocks(tj1, tj2), images[:, take.ravel()])
+
+    def test_cached_and_read_only(self):
+        table = _m_blocks(3, 5)
+        assert _m_blocks(3, 5) is table and _reversed_blocks(2, 4) is _reversed_blocks(2, 4)
+        for arr in (table[0], table[1], _reversed_blocks(2, 4)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
 
 
 class TestRotationYPi:

@@ -8,7 +8,13 @@ import pytest
 
 import ri_entropy.oracle
 from ri_entropy.angular import Spin
-from ri_entropy.closed_form import ree_2xn, ree_3xn_odd, separability_threshold, state_2xn
+from ri_entropy.closed_form import (
+    ree_2xn,
+    ree_3xn_odd,
+    ree_dispatch,
+    separability_threshold,
+    state_2xn,
+)
 from ri_entropy.geometry import ppt_polygon, simplex_vertices
 from ri_entropy.oracle import (
     _INTERVAL_TOL,
@@ -33,6 +39,7 @@ from ri_entropy.states import (
     quantum_relative_entropy,
     to_density,
 )
+from simd_dispatch import run_avx512_off
 
 
 def simplex_points(n: int, seed: int):
@@ -265,6 +272,33 @@ class TestSegmentSearch:
                     report.final_box_size) == (vals[k], q[k], steps[k], widths[k])
 
 
+    @pytest.mark.parametrize("tj", [1, 2, 5, 40])
+    def test_interval_optimum_at_a_barrier_end(self, tj):
+        """For p near 0 the optimum q = p lies within the float resolution of the
+        q = 0 end, where the slope is infinite: the search starts 2^-53 inside,
+        which certifies in a few steps (bisection toward the end took 38, and 72
+        at p = 5e-324)."""
+        ps = np.array([5e-324, 1e-323, 1e-320, 1e-310, 1e-300])
+        _, vals, steps, widths = _interval_search(Spin(tj), ps, _INTERVAL_TOL)
+        closed = np.array([ree_2xn(Spin(tj), p).value for p in ps.tolist()])
+        assert steps.max() <= 12 and (widths <= _INTERVAL_TOL).all()
+        assert np.abs(vals - closed).max() <= 1e-15
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7, 101])
+    def test_polygon_optimum_at_a_barrier_end(self, N):
+        """(5e-324, 0.99) and its neighbours have their optimum within about
+        1e-300 of E, the s = 1 end of edge A'E, where a q is 0: the search starts
+        at the nearest float inside (bisection toward E took up to 38 steps)."""
+        pts = [(5e-324, 0.99), (1e-323, 0.99), (1e-310, 0.99), (1e-300, 0.99)]
+        xs, ys = (np.array(c) for c in zip(*pts))
+        poly = _normalized_polygon(N, ppt_polygon(N))
+        _, _, vals, steps, widths = _polygon_search(poly, xs, ys, _POLYGON_TOL)
+        closed = np.array([ree_dispatch(Spin(2), Spin(N - 1), normalized_to_raw(
+            N, NormalizedCoords(x, y)).alphas()).value for x, y in pts])
+        assert steps.max() <= 12 and (widths <= _POLYGON_TOL).all()
+        assert np.abs(vals - closed).max() <= 1e-15
+
+
 class TestPPTEigenvalue:
     def test_maximally_mixed_positive(self):
         assert ppt_min_eigenvalue(maximally_mixed(Spin(1), Spin(2))) > 0.0
@@ -411,9 +445,9 @@ class TestIndependentRoute:
             assert ppt_min_eigenvalue(sigma) >= -1e-10
 
 
-# SHA-256 of `oracle_fingerprint()`: any change to a bit of the oracle's
-# searches or campaign summaries changes it
-ORACLE_FINGERPRINT = "f84653b7c6107ac84512b962b0a636b778b4779c407a6cc989de26342ad97e60"
+# SHA-256 of `oracle_fingerprint()` with numpy's AVX-512 dispatch off: any change
+# to a bit of the oracle's searches or campaign summaries changes it
+ORACLE_FINGERPRINT = "737c9386c22fcfe8e9d02dbeafb1ef81da68f7c8aa83aa508bfc8a8125d7b3bb"
 
 
 def oracle_fingerprint() -> str:
@@ -452,4 +486,9 @@ def oracle_fingerprint() -> str:
 
 class TestBitIdentity:
     def test_oracle_outputs_are_pinned(self):
-        assert oracle_fingerprint() == ORACLE_FINGERPRINT
+        """Computed with numpy's AVX-512 dispatch off (`simd_dispatch`), whose
+        float64 log differs from the other code paths in the last bit."""
+        done = run_avx512_off("-c", "from test_oracle import oracle_fingerprint; "
+                              "print(oracle_fingerprint())")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ORACLE_FINGERPRINT

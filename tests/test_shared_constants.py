@@ -10,8 +10,9 @@ from ri_entropy.geometry import classify_region, normalized_chart, region_polygo
 from ri_entropy.states import NormalizedCoords, block_weights
 
 BUILDERS = [angular._coupling_range, angular._projector, angular._projector_stacks,
-            states._block_weights, states._block_weight_array, states._prefactors,
-            states._spin_of_n, geometry._normalized_chart, geometry._lines]
+            angular._m_blocks, angular._reversed_blocks,
+            states._block_weights, states._block_weight_array, states._density_scales,
+            states._prefactors, states._spin_of_n, geometry._normalized_chart, geometry._lines]
 
 
 def test_block_weights_are_read_only():

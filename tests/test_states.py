@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ri_entropy import states
 from ri_entropy.angular import (
     DenseOperator,
     Spin,
+    _m_blocks,
     coupled_basis_vector,
     coupling_range,
     partial_time_reversal,
@@ -313,6 +315,111 @@ class TestProjectorStacks:
         assert np.abs(alpha_coords(h, j1, j2) - self.per_j_coords(h, j1, j2)).max() <= 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTotalMBlocks:
+    """quantum_relative_entropy and ppt_min_eigenvalue solve the total-M blocks
+    of RI operators, padded to one size, in one call.
+
+    The whole matrix is the reference: `ppt_min_eigenvalue` against eigvalsh of
+    the dense partial time reversal, and `quantum_relative_entropy` against
+    itself on operators without dims, which take the one-block path.  The
+    bounds are about 10x the largest gaps seen over these states: 8.3e-17
+    (eigenvalue) and 1.6e-12 (relative entropy, whose Dirichlet draws reach
+    values near 10 and block probabilities near 1e-5).
+    """
+
+    @staticmethod
+    def whole(op):
+        return DenseOperator(op.mat)  # no dims: one block of the whole matrix
+
+    @pytest.mark.parametrize("j1,j2", DENSE_PAIRS)
+    def test_blocks_match_the_whole_matrix(self, j1, j2):
+        rng = np.random.default_rng(90 + 16 * j1.twice_j + j2.twice_j)
+        k = min(j1.dim, j2.dim)
+        for _ in range(20):
+            s, t = random_state(j1, j2, rng), random_state(j1, j2, rng)
+            rho, sigma = to_density(s), to_density(t)
+            ma, mb = states._diagonal_blocks(rho, sigma)
+            assert ma.shape == mb.shape == (j1.dim + j2.dim - 1, k, k)
+            image = np.linalg.eigvalsh(partial_time_reversal(rho).mat)[0]
+            assert abs(ppt_min_eigenvalue(s) - image) <= 1e-15
+            whole = quantum_relative_entropy(self.whole(rho), self.whole(sigma))
+            assert abs(quantum_relative_entropy(rho, sigma) - whole) <= 2e-11
+
+    def test_non_block_inputs_take_one_block(self):
+        rng = np.random.default_rng(91)
+        j1, j2 = Spin(2), Spin(4)
+        a, b = (to_density(random_state(j1, j2, rng)) for _ in range(2))
+        z = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
+        u = np.linalg.qr(z)[0]
+        ua, ub = (DenseOperator(u @ op.mat @ u.conj().T, dims=(3, 5)) for op in (a, b))
+        _, _, zero = _m_blocks(3, 5)
+        for pair in ((ua, ub), (a, ub), (self.whole(a), b), (a, DenseOperator(b.mat, dims=(5, 3)))):
+            assert states._diagonal_blocks(*pair)[0].shape == (1, 15, 15)
+        # one off-block entry, at the padding's position or elsewhere, is enough
+        for i, j in ((zero // 15, zero % 15), (4, 9)):
+            m = a.mat.copy()
+            m[i, j] = m[j, i] = 1e-3
+            bumped = DenseOperator(m, dims=(3, 5))
+            assert states._diagonal_blocks(bumped, b)[0].shape == (1, 15, 15)
+            assert states._diagonal_blocks(b, bumped)[0].shape == (1, 15, 15)
+            assert quantum_relative_entropy(bumped, b) == quantum_relative_entropy(
+                self.whole(bumped), self.whole(b))
+
+    @pytest.mark.parametrize("members", [(0,), (1, 5), (2, 6, 10)])
+    def test_pure_block_in_b(self, members):
+        """b pure inside one block of 3(x)5 (sizes 1, 2, 3): its eigenvalue 1 is
+        degenerate with the padding of 1, and changes nothing."""
+        v = np.zeros(15)
+        v[list(members)] = np.arange(1.0, len(members) + 1.0)
+        v /= np.linalg.norm(v)
+        pure = DenseOperator(np.outer(v, v), dims=(3, 5))
+        mixed = to_density(maximally_mixed(Spin(2), Spin(4)))
+        assert states._diagonal_blocks(pure, pure)[1].shape == (7, 3, 3)
+        assert quantum_relative_entropy(pure, pure) == pytest.approx(0.0, abs=1e-15)
+        assert quantum_relative_entropy(self.whole(pure), self.whole(pure)) == pytest.approx(
+            0.0, abs=1e-15)
+        assert quantum_relative_entropy(mixed, pure) == math.inf
+        assert quantum_relative_entropy(self.whole(mixed), self.whole(pure)) == math.inf
+        assert quantum_relative_entropy(pure, mixed) == pytest.approx(math.log(15), abs=1e-13)
+
+    @pytest.mark.parametrize("members", [(0,), (1, 5), (2, 6, 10)])
+    def test_support_violation_inside_one_block(self, members):
+        """b misses one direction inside one block: I/15 then has weight outside
+        the support of b, and S(I/15 || b) = +inf on both paths."""
+        v = np.zeros(15)
+        v[list(members)] = 1.0
+        v /= np.linalg.norm(v)
+        b = DenseOperator((np.eye(15) - np.outer(v, v)) / 14, dims=(3, 5))
+        a = to_density(maximally_mixed(Spin(2), Spin(4)))
+        assert states._diagonal_blocks(a, b)[0].shape == (7, 3, 3)
+        assert quantum_relative_entropy(a, b) == math.inf
+        assert quantum_relative_entropy(self.whole(a), self.whole(b)) == math.inf
+        assert quantum_relative_entropy(b, a) < math.inf
+
+    @pytest.mark.parametrize("j1,j2", DENSE_PAIRS)
+    def test_padding_never_lowers_the_ppt_eigenvalue(self, j1, j2):
+        """The padding is 1, above every eigenvalue of a reversed state.  The
+        maximally mixed state has the largest smallest eigenvalue, 1/dim; the
+        simplex vertices put all weight on one J."""
+        dim = j1.dim * j2.dim
+        mixed = maximally_mixed(j1, j2)
+        assert abs(ppt_min_eigenvalue(mixed) - 1.0 / dim) <= 1e-15
+        w = block_weights(j1, j2)
+        for i in range(len(w)):
+            vertex = make_ri_state(j1, j2, np.eye(len(w))[i] / w[i])
+            image = np.linalg.eigvalsh(partial_time_reversal(to_density(vertex)).mat)[0]
+            assert abs(ppt_min_eigenvalue(vertex) - image) <= 1e-15
+
+    def test_density_is_built_as_init_builds_it(self):
+        """to_density stores its fields as DenseOperator's __init__ would."""
+        rho = to_density(random_state(Spin(2), Spin(4), np.random.default_rng(92)))
+        assert repr(rho) == repr(DenseOperator(rho.mat, dims=(3, 5)))
+        assert rho.dims == (3, 5) and rho.mat.dtype == np.float64 and rho.mat.shape == (15, 15)
+        with pytest.raises(ValueError):
+            rho.mat[0, 0] = 1.0
+
+
 class TestTwirl:
     @pytest.mark.parametrize("j1,j2", [(p[0], p[1]) for p in SPIN_PAIRS]
                              + [(Spin(1), Spin(1))])
@@ -395,19 +502,28 @@ class TestQuantumRelativeEntropy:
     def test_entropy_term_is_one_fsum(self):
         """tr(a ln a) is one math.fsum: builtin sum() rounds each addition up to
         Python 3.11 and compensates from 3.12 on, so with it the last bits of the
-        value would depend on the interpreter."""
+        value would depend on the interpreter.  The reference solves the same
+        total-M blocks, padded to 3x3 (a with 0, b with 1), one at a time."""
         rng = np.random.default_rng(29)
         for N in (3, 5, 7, 11):
+            key = np.add.outer(np.arange(3), np.arange(N)).ravel()
             for _ in range(10):
                 a, b = (to_density(random_state(Spin(2), Spin(N - 1), rng)) for _ in range(2))
-                va = np.maximum(np.linalg.eigvalsh(a.mat), 0.0)
-                vb, ub = np.linalg.eigh(b.mat)
-                overlaps = ((ub.conj().T @ a.mat) * ub.T).sum(axis=1).real
+                va, vb, overlaps = [], [], []
+                for K in range(N + 2):
+                    idx = np.flatnonzero(key == K)
+                    ba, bb = np.zeros((3, 3)), np.eye(3)
+                    ba[:len(idx), :len(idx)] = a.mat[np.ix_(idx, idx)]
+                    bb[:len(idx), :len(idx)] = b.mat[np.ix_(idx, idx)]
+                    lam, u = np.linalg.eigh(bb)
+                    va += np.maximum(np.linalg.eigvalsh(ba), 0.0).tolist()
+                    vb += np.maximum(lam, 0.0).tolist()
+                    overlaps += ((u.T @ ba) * u.T).sum(axis=1).tolist()
                 tr_a_ln_b = 0.0
-                for lam, w in zip(np.maximum(vb, 0.0).tolist(), overlaps.tolist()):
+                for lam, w in zip(vb, overlaps):
                     if w > 0.0:
                         tr_a_ln_b += w * math.log(lam)
-                tr_a_ln_a = math.fsum(x * math.log(x) for x in va.tolist() if x > 1e-12)
+                tr_a_ln_a = math.fsum(x * math.log(x) for x in va if x > 1e-12)
                 assert quantum_relative_entropy(a, b) == max(tr_a_ln_a - tr_a_ln_b, 0.0)
 
     def test_support_violation(self):
