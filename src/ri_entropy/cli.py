@@ -27,11 +27,11 @@ from .closed_form import (
     REEResult,
     UnsupportedFamilyError,
     _by_family,
+    _checked_2xn,
     _ree_3xn,
     _value_2xn,
     ree_2xn,
     separability_threshold,
-    state_2xn,
 )
 from .geometry import (
     landmark_points,
@@ -40,11 +40,7 @@ from .geometry import (
     ppt_polygon,
     simplex_vertices,
 )
-from .states import (
-    NormalizedCoords,
-    make_ri_state,
-    normalized_to_raw,
-)
+from .states import NormalizedCoords, _check_n, make_ri_state
 
 SCHEMA_VERSION = "ri-entropy/1"
 
@@ -130,30 +126,35 @@ def cmd_ree(args) -> int:
     if len(given) != 1:
         raise ValueError("provide exactly one of --p, --alpha, --normalized")
 
+    # the point that the closed form and the oracle both evaluate, as given:
+    # (0, (j2, p)) of a 2(x)N state, (1, (N, coords)) of a 3(x)N state
     if args.p is not None:
         if j1.twice_j != 1:
             raise ValueError("--p applies to the 2(x)N family (j1 = 1/2) only")
-        state = state_2xn(j2, float(args.p))
+        family, point = 0, (j2, _checked_2xn(j2, args.p))
     elif args.alpha is not None:
         state = make_ri_state(j1, j2,
                               _floats(args.alpha, len(coupling_range(j1, j2)), "--alpha"))
+        family, point = _by_family(state, lambda *a: (0, a), lambda *a: (1, a))
     else:
         if j1.twice_j != 2:
             raise ValueError("--normalized applies to 3(x)N systems (j1 = 1) only")
-        x, y = _floats(args.normalized, 2, "--normalized")
-        state = normalized_to_raw(j2.dim, NormalizedCoords(x, y))
+        coords = NormalizedCoords(*_floats(args.normalized, 2, "--normalized"))
+        family, point = 1, (_check_n(j2.dim), coords)
 
     command = {"name": "ree", "j1": format_spin(j1), "j2": format_spin(j2),
                "p": args.p, "alpha": args.alpha, "normalized": args.normalized,
                "oracle": bool(args.oracle), "force_oracle": bool(args.force_oracle)}
 
+    if args.oracle or args.force_oracle:
+        from .oracle import minimize_kl_over_interval, minimize_kl_over_polygon
+        report = (minimize_kl_over_interval, minimize_kl_over_polygon)[family](*point)
     if args.force_oracle:
-        result = {"quantity": "oracle_min", **_report_payload(_oracle_report(state))}
+        result = {"quantity": "oracle_min", **_report_payload(report)}
     else:
-        res = _by_family(state, ree_2xn, _ree_3xn)
+        res = (ree_2xn, _ree_3xn)[family](*point)
         result = _result_payload(res)
         if args.oracle:
-            report = _oracle_report(state)
             result["oracle"] = {**_report_payload(report),
                                 "abs_diff": abs(report.optimum_value - res.value)}
 
@@ -164,13 +165,6 @@ def cmd_ree(args) -> int:
 def _report_payload(report) -> dict:
     return {"value": report.optimum_value, "optimum_point": list(report.optimum_point),
             "iterations": report.iterations, "converged": report.converged}
-
-
-def _oracle_report(state):
-    # routed before the import, so that an unsupported family is refused without numpy
-    which, point = _by_family(state, lambda *a: (0, a), lambda *a: (1, a))
-    from .oracle import minimize_kl_over_interval, minimize_kl_over_polygon
-    return (minimize_kl_over_interval, minimize_kl_over_polygon)[which](*point)
 
 
 def _emit(record: dict, fmt: str, name: str | None = None):

@@ -139,17 +139,21 @@ def separability_threshold(j: Spin) -> float:
     return j.twice_j / (j.twice_j + 1)
 
 
-def state_2xn(j: Spin, p: float) -> RIState:
-    """The 2(x)(2j+1) RI state with weight p on the lower total-spin block.
-
-    Valid by construction, so not checked again (`_alpha_vector_2xn`): p in
-    [0, 1] and j >= 1/2 are checked here.
-    """
+def _checked_2xn(j: Spin, p) -> float:
+    """p of a 2(x)(2j+1) state as a float, once p in [0, 1] and j >= 1/2 are checked."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if j.twice_j < 1:
         raise ValueError("expected j2 >= j1")
-    return _ri_state(_alpha_vector_2xn(j, float(p)), False)
+    return float(p)
+
+
+def state_2xn(j: Spin, p: float) -> RIState:
+    """The 2(x)(2j+1) RI state with weight p on the lower total-spin block.
+
+    Valid by construction, so not checked again (`_alpha_vector_2xn`).
+    """
+    return _ri_state(_alpha_vector_2xn(j, _checked_2xn(j, p)), False)
 
 
 def p_of_state(state: RIState) -> float:

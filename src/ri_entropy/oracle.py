@@ -6,14 +6,15 @@ eigenvalue tests, and a batch closed-form-vs-oracle comparison.  The
 objective and the sets are convex, so a feasible state is its own minimum
 and any other lies on the boundary: a safeguarded Newton search on the
 slope along each polygon edge (or the interval), in lockstep over every
-edge of every sample.  Infinite KL values lose every comparison.
+edge of every sample, started at the exact root of the slope times the
+product of the q's, a polynomial of degree 1 (interval) or 2 (edge) in the
+segment parameter.  Infinite KL values lose every comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
 _MAX_STEPS = 200  # reached only when tol is below the float grid at the optimum
 _INTERVAL_TOL = 1e-10  # certified bracket width in the parameter s = q / pc of the 2(x)N segment
 _POLYGON_TOL = 1e-9    # certified bracket width in the edge parameter s of the 3(x)N search
+_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])  # for each of three outcomes, the other two
 
 # (family, param) of the closed-form-vs-oracle campaign over every family
 CAMPAIGNS = (("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),
@@ -72,15 +74,14 @@ def _total(rows):
 
 def _segment_search(p, q0, q1, tol: float):
     """Minimize KL(p || q0 + s (q1 - q0)) over s in [0, 1] for every column of the
-    (outcomes, columns) arrays at once, by a safeguarded Newton search on the slope
-    f'.  Step 1 tests the ends and starts the rest at the secant root of F = f' prod q,
-    which has the sign of f' and no pole where a q is 0, kept 2^-53 inside the ends;
-    later steps take Newton's step on F inside the bracket that the sign of f'
-    shrinks, or bisect it.  A column freezes at a point of finite f' once f' changes
-    sign across s -+ h, a bracket at most tol wide; a tol below the float grid runs
-    to `_MAX_STEPS`.  Returns (points q, values, steps, widths); each point is
-    the best of the search's point and the two ends."""
-    p, q0, q1 = np.broadcast_arrays(p, q0, q1)
+    (outcomes, columns) array p, q0 and q1 broadcast to it, by a safeguarded Newton
+    search on the slope f'.  Step 1 tests the ends and starts the rest at the root of
+    F = f' prod q, a polynomial of degree outcomes - 1 with the sign of f' and no pole
+    where a q is 0, kept 2^-53 inside the ends; later steps take Newton's step on F
+    inside the bracket that the sign of f' shrinks, or bisect it.  A column freezes at
+    a point of finite f' once f' changes sign across s -+ h, a bracket at most tol
+    wide; a tol below the float grid runs to `_MAX_STEPS`.  Returns (points q, values,
+    steps, widths); each point is the best of the search's point and the two ends."""
     on = p > 0.0
     n, dim = p.shape[1], len(p)
     s_out, widths, steps = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
@@ -102,13 +103,24 @@ def _segment_search(p, q0, q1, tol: float):
         (d0, d1), _, _, q = slopes(np.array([[0.0], [1.0]]))
         hi = np.where(d0 >= 0.0, 0.0, 1.0)
         lo = np.where(d1 <= 0.0, hi, 0.0)
-        f0, f1 = _total([coef[2, k] * coef[0, k] * reduce(mul, [q[i] for i in range(dim) if i != k])
-                         for k in range(dim)])  # -F at the ends
-        s = f0 / (f0 - f1)
+        # -F = f' prod q: the sum over k of p_k a_k times the other outcomes' q
+        a, _, pk = coef
+        if dim == 2:  # F is linear: its root is the secant root
+            f0, f1 = _total(pk * a * q[::-1])
+            s = f0 / (f0 - f1)
+        else:  # -F = g0 + g1 s + g2 s^2, g0 = f0, g1 = f1 - f0 - g2: one leave-one-out
+            # product gives -F at s = 0 and 1 and, with each a in place of q, g2
+            f0, f1, g2 = _total(pk * a * np.concatenate((q, a), axis=1)[_OTHERS].prod(axis=1))
+            g = np.array((f0, f1 - f0 - g2, g2))
+            # scaled so that g1^2 cannot underflow; f0 >= 0 >= f1 puts one root in the
+            # bracket (g2 < 0 if g1 > 0), taken in the form that does not cancel
+            g0, g1, g2 = g / np.abs(g).max(axis=0)
+            sq = np.sqrt(g1 * g1 - 4.0 * g0 * g2)
+            s = np.where(g1 > 0.0, (g1 + sq) / (-2.0 * g2), 2.0 * g0 / (sq - g1))
         # an optimum within the float resolution of an end where a q is 0 puts the
-        # secant root on that end, where the slope is infinite and every later step
-        # would bisect toward it: start at least 2^-53 inside (at 1, the nearest
-        # float), where the slope is finite and the probes reach the end
+        # root on that end, where the slope is infinite and every later step would
+        # bisect toward it: start at least 2^-53 inside (at 1, the nearest float),
+        # where the slope is finite and the probes reach the end
         s = np.minimum(np.maximum(s, 2.0 ** -53), 1.0 - 2.0 ** -53)
         s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
         while live.size and step < _MAX_STEPS:
@@ -166,41 +178,37 @@ def minimize_kl_over_interval(j: Spin, p: float) -> MinimizationReport:
                               converged=bool(width[0] <= _INTERVAL_TOL))
 
 
-def _normalized_polygon(N: int, polygon) -> np.ndarray:
-    """Raw Point2 polygon -> barycentric (n, 2) array."""
+@lru_cache(maxsize=256)
+def _polygon(N: int):
+    """The PPT polygon ADA'E of a checked N as read-only arrays, built once per N:
+    its barycentric vertices (n, 2); each edge's start and end columns q0, q1
+    (3 outcomes, n edges); and each edge's origin and direction, (2, n, 1) each."""
     bx, by, _ = _prefactors(N)
-    return np.array([(p.x / bx, p.y / by) for p in polygon])
+    poly = np.array([(v.x / bx, v.y / by) for v in ppt_polygon(N)])
+    q0 = np.array((*poly.T, 1.0 - poly[:, 0] - poly[:, 1]))
+    q1 = np.roll(q0, -1, axis=1)
+    built = (poly, q0, q1, q0[:2, :, None], (q1 - q0)[:2, :, None])
+    for arr in built:
+        arr.flags.writeable = False
+    return built
 
 
-def _inside_mask(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized membership in a counterclockwise convex polygon, without a
-    tolerance: a point called outside is searched, which finds its value."""
-    mask = np.ones_like(xs, dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        ox, oy = poly[i]
-        qx, qy = poly[(i + 1) % n]
-        mask &= (qx - ox) * (ys - oy) - (qy - oy) * (xs - ox) >= 0.0
-    return mask
-
-
-def _polygon_search(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float):
-    """Batch minimization of KL(rho || sigma) over sigma in a convex polygon: a
-    feasible state is its own minimizer (no search), any other the best of one
-    segment search per edge.  Returns (x*, y*, values, steps, widths), a state's
-    steps and width being the largest over its edges."""
+def _polygon_search(N: int, xs: np.ndarray, ys: np.ndarray, tol: float):
+    """Batch minimization of KL(rho || sigma) over sigma in the PPT polygon of a checked
+    N: a state inside (each edge's cross product >= 0, without a tolerance: a point
+    called outside is searched, which finds its value) is its own minimizer, any other
+    the best of one segment search per edge.  Returns (x*, y*, values, steps, widths),
+    a state's steps and width being the largest over its edges."""
+    poly, q0, q1, (ox, oy), (dx, dy) = _polygon(N)
     xs_opt, ys_opt = xs.copy(), ys.copy()
     vals, widths = np.zeros_like(xs), np.zeros_like(xs)
     steps = np.zeros(len(xs), dtype=int)
-    out = ~_inside_mask(poly, xs, ys)
+    out = ~(dx * (ys - oy) - dy * (xs - ox) >= 0.0).all(axis=0)
     if out.any():
         m, n = int(out.sum()), len(poly)
-        verts = np.array((poly[:, 0], poly[:, 1], 1.0 - poly[:, 0] - poly[:, 1]))
         # one column per (state, edge), from each edge's start to its end
-        p, q0, q1 = (np.broadcast_to(c, (3, m, n)).reshape(3, m * n) for c in (
-            np.array((xs, ys, 1.0 - xs - ys))[:, out, None], verts[:, None],
-            np.roll(verts, -1, axis=1)[:, None]))
-        q, *edge = _segment_search(p, q0, q1, tol)
+        p = np.repeat(np.array((xs, ys, 1.0 - xs - ys))[:, out], n, axis=1)
+        q, *edge = _segment_search(p, np.tile(q0, m), np.tile(q1, m), tol)
         edge_vals, edge_steps, edge_widths = (c.reshape(m, n) for c in edge)
         rows, best = np.arange(m), np.argmin(edge_vals, axis=1)
         xs_opt[out], ys_opt[out] = q[:2, rows * n + best]
@@ -212,10 +220,8 @@ def _polygon_search(poly: np.ndarray, xs: np.ndarray, ys: np.ndarray, tol: float
 def minimize_kl_over_polygon(N: int, coords: NormalizedCoords) -> MinimizationReport:
     """Minimize KL(rho || sigma) over sigma in the PPT polygon ADA'E, in barycentric
     coordinates, to a certified bracket of `_POLYGON_TOL` in each edge's s."""
-    N = _check_n(N)
-    poly = _normalized_polygon(N, ppt_polygon(N))
     x, y, val, steps, width = _polygon_search(
-        poly, np.array([coords.ahat_lo]), np.array([coords.ahat_mid]), _POLYGON_TOL)
+        _check_n(N), np.array([coords.ahat_lo]), np.array([coords.ahat_mid]), _POLYGON_TOL)
     return MinimizationReport(optimum_value=float(val[0]),
                               optimum_point=(float(x[0]), float(y[0])),
                               iterations=int(steps[0]), final_box_size=float(width[0]),
@@ -269,8 +275,7 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
         xs, ys = u[:, 0], u[:, 1] - u[:, 0]
         closed = np.array([_value_3xn(N, NormalizedCoords(x, y))
                            for x, y in zip(xs.tolist(), ys.tolist())])
-        poly = _normalized_polygon(N, ppt_polygon(N))
-        orac = _polygon_search(poly, xs, ys, _POLYGON_TOL)[2]
+        orac = _polygon_search(N, xs, ys, _POLYGON_TOL)[2]
         inputs = (xs, ys)
         param_out = N
     else:

@@ -6,12 +6,15 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ri_entropy.oracle
 from ri_entropy.angular import Spin
 from ri_entropy.cli import (EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, EXIT_VERIFY_FAIL,
-                            format_spin, main)
+                            _report_payload, _result_payload, dumps_record, format_spin, main)
+from ri_entropy.closed_form import _ree_3xn, ree_2xn
+from ri_entropy.states import NormalizedCoords
 from simd_dispatch import run_avx512_off
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -152,6 +155,42 @@ class TestRee:
                            "--alpha", "4,0,0,0")
         assert code == EXIT_UNSUPPORTED
         assert "force-oracle" in err
+
+
+def as_printed(payload: dict) -> dict:
+    """A result payload as `ree` prints it and json reads it back."""
+    return json.loads(dumps_record(payload))
+
+
+class TestPointAsGiven:
+    """`ree` evaluates the point it was given, bit for bit as the library does (a round
+    trip through the alphas moved some points, and values, by an ulp)."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7, 101, 10**8 + 1])
+    def test_normalized(self, capsys, N):
+        u = np.sort(np.random.default_rng(N % 1000).random((60, 2)), axis=1)
+        for k, (x, y) in enumerate(zip(u[:, 0].tolist(), (u[:, 1] - u[:, 0]).tolist())):
+            argv = ("ree", "--j1", "1", "--j2", format_spin(Spin(N - 1)),
+                    "--normalized", f"{x!r},{y!r}")
+            coords = NormalizedCoords(x, y)
+            assert json.loads(run(capsys, *argv)[1])["result"] == as_printed(
+                _result_payload(_ree_3xn(N, coords)))
+            if k < 5:
+                assert json.loads(run(capsys, *argv, "--force-oracle")[1])["result"] == as_printed(
+                    {"quantity": "oracle_min",
+                     **_report_payload(ri_entropy.oracle.minimize_kl_over_polygon(N, coords))})
+
+    @pytest.mark.parametrize("tj", [1, 2, 3, 99])
+    def test_p(self, capsys, tj):
+        j = Spin(tj)
+        for k, p in enumerate(np.random.default_rng(tj).random(100).tolist()):
+            argv = ("ree", "--j1", "1/2", "--j2", format_spin(j), "--p", repr(p))
+            assert json.loads(run(capsys, *argv)[1])["result"] == as_printed(
+                _result_payload(ree_2xn(j, p)))
+            if k < 5:
+                assert json.loads(run(capsys, *argv, "--force-oracle")[1])["result"] == as_printed(
+                    {"quantity": "oracle_min",
+                     **_report_payload(ri_entropy.oracle.minimize_kl_over_interval(j, p))})
 
 
 class TestCurve:
@@ -480,7 +519,7 @@ PINNED = [
      ', 0.45014348862143688], "aux": {"a": 0.048425229309855218, "t1": -11.1'
      ', "minimizer_point": [0.12993852547542178, 1.0987839000240229]}'
      ', "oracle": {"value": 0.21642780227875166, "optimum_point"'
-     ': [0.058110275171826251, 0.63438318046009656], "iterations": 6'
+     ': [0.058110275171826251, 0.63438318046009656], "iterations": 2'
      ', "converged": true, "abs_diff": 5.5511151231257827e-17}}}\n', ""),
     ("ree --j1 1/2 --j2 1 --normalized 0.2,0.3", 2, "",
      "error: --normalized applies to 3(x)N systems (j1 = 1) only\n"),
@@ -513,8 +552,8 @@ PINNED = [
      '{"schema_version": "ri-entropy/1", "command": {"name": "ree", "j1": "1"'
      ', "j2": "2", "p": null, "alpha": null, "normalized": "0.9,0.05"'
      ', "oracle": false, "force_oracle": true}, "result": {"quantity": "oracle_min"'
-     ', "value": 0.2552746007216119, "optimum_point": [0.59663503655702754'
-     ', 0.32772506092837916], "iterations": 6, "converged": true}}\n', ""),
+     ', "value": 0.25527460072161179, "optimum_point": [0.59663503655702743'
+     ', 0.32772506092837905], "iterations": 2, "converged": true}}\n', ""),
     # a weighted total 5e-11 above 1 is accepted as given: p = w_0 alpha_0 is
     # taken as 1 by the closed form and by both oracle routes
     ("ree --j1 1/2 --j2 1/2 --alpha 2.0000000001,0", 0,
@@ -540,6 +579,21 @@ PINNED = [
 ]
 
 
+def prints_oracle_figures(cmd: str) -> bool:
+    """Whether a command prints figures of the oracle: `verify`, `ree --oracle` and
+    `ree --force-oracle`."""
+    return cmd.startswith("verify ") or bool({"--oracle", "--force-oracle"} & set(cmd.split()))
+
+
+def run_pinned(capsys, cmd: str):
+    """(exit code, stdout, stderr) of a pinned command; one that prints oracle figures
+    runs with numpy's AVX-512 dispatch off (`simd_dispatch`), as it was pinned."""
+    if prints_oracle_figures(cmd):
+        done = run_avx512_off("-m", "ri_entropy.cli", *shlex.split(cmd))
+        return done.returncode, done.stdout, done.stderr
+    return run(capsys, *shlex.split(cmd))
+
+
 class TestGolden:
     def test_every_readme_command_is_pinned(self):
         shown = {line.split("ri-entropy ", 1)[1].strip()
@@ -549,12 +603,7 @@ class TestGolden:
 
     @pytest.mark.parametrize("cmd,code,out", README_EXAMPLES)
     def test_readme_example(self, capsys, cmd, code, out):
-        if cmd.startswith("verify "):
-            # oracle figures, pinned with numpy's AVX-512 dispatch off (`simd_dispatch`)
-            done = run_avx512_off("-m", "ri_entropy.cli", *shlex.split(cmd))
-            assert (done.returncode, done.stdout) == (code, out)
-        else:
-            assert run(capsys, *shlex.split(cmd))[:2] == (code, out)
+        assert run_pinned(capsys, cmd)[:2] == (code, out)
 
     def test_readme_curve_csv(self, capsys, tmp_path):
         argv = shlex.split(README_CURVE)
@@ -567,4 +616,4 @@ class TestGolden:
 
     @pytest.mark.parametrize("cmd,code,out,err", PINNED)
     def test_pinned_output(self, capsys, cmd, code, out, err):
-        assert run(capsys, *shlex.split(cmd)) == (code, out, err)
+        assert run_pinned(capsys, cmd) == (code, out, err)

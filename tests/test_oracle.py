@@ -9,21 +9,21 @@ import pytest
 import ri_entropy.oracle
 from ri_entropy.angular import Spin
 from ri_entropy.closed_form import (
+    _value_3xn,
     ree_2xn,
     ree_3xn_odd,
     ree_dispatch,
     separability_threshold,
     state_2xn,
 )
-from ri_entropy.geometry import ppt_polygon, simplex_vertices
+from ri_entropy.geometry import simplex_vertices
 from ri_entropy.oracle import (
     _INTERVAL_TOL,
     _MAX_STEPS,
     _POLYGON_TOL,
     CAMPAIGNS,
-    _inside_mask,
     _interval_search,
-    _normalized_polygon,
+    _polygon,
     _polygon_search,
     _segment_search,
     minimize_kl_over_interval,
@@ -46,6 +46,21 @@ def simplex_points(n: int, seed: int):
     """n seeded uniform barycentric points (x, y) by sorted uniform spacings."""
     u = np.sort(np.random.default_rng(seed).random((n, 2)), axis=1)
     return u[:, 0], u[:, 1] - u[:, 0]
+
+
+# coordinates within the float resolution of 0, down to the smallest subnormal
+TINY = (5e-324, 1e-323, 1e-310, 1e-300, 1e-100, 1e-17, 1e-12, 1e-8)
+
+
+def boundary_sweep(N: int):
+    """300 seeded uniform states, and for each tiny c the states with x, y or the
+    third coordinate c whose other two split the rest 1:99, 1:1, 99:1 or 1:0."""
+    xs, ys = simplex_points(300, seed=N % 1000)
+    pts = list(zip(xs.tolist(), ys.tolist()))
+    for c in TINY:
+        for w in (0.01, 0.5, 0.99, 1.0 - c):
+            pts += [(c, w * (1 - c)), (w * (1 - c), c), (w * (1 - c), (1 - w) * (1 - c))]
+    return pts
 
 
 class TestIntervalOracle:
@@ -117,8 +132,7 @@ class TestPolygonOracle:
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_search_reaches_its_tol(self, N, tol):
         xs, ys = simplex_points(30, seed=40 + N)
-        poly = _normalized_polygon(N, ppt_polygon(N))
-        steps, widths = _polygon_search(poly, xs, ys, tol)[3:]
+        steps, widths = _polygon_search(N, xs, ys, tol)[3:]
         assert widths.max() <= tol and steps.max() < _MAX_STEPS
 
     def test_unreachable_tol_stops_unconverged(self, monkeypatch):
@@ -131,8 +145,7 @@ class TestPolygonOracle:
     @pytest.mark.parametrize("N", [3, 6, 9])
     def test_batch_equals_scalar_calls(self, N):
         xs, ys = simplex_points(40, seed=70 + N)
-        poly = _normalized_polygon(N, ppt_polygon(N))
-        bx, by, vals, steps, widths = _polygon_search(poly, xs, ys, 1e-9)
+        bx, by, vals, steps, widths = _polygon_search(N, xs, ys, 1e-9)
         assert (vals == 0.0).any() and (vals > 0.0).any()  # both branches taken
         for k, (x, y) in enumerate(zip(xs, ys)):
             report = minimize_kl_over_polygon(N, NormalizedCoords(x, y))
@@ -140,6 +153,15 @@ class TestPolygonOracle:
             assert report.optimum_point == (bx[k], by[k])
             assert report.iterations == steps[k]
             assert report.final_box_size == widths[k]
+
+    def test_polygon_is_built_once_read_only(self):
+        """ADA'E's vertices, edge columns, origins and directions, shared per N."""
+        poly, q0, q1, origin, direction = built = _polygon(7)
+        assert _polygon(7) is built
+        assert not any(arr.flags.writeable for arr in built)
+        assert (q0[:2].T == poly).all() and (q1[:2].T == np.roll(poly, -1, axis=0)).all()
+        assert (origin[:, :, 0].T == poly).all()
+        assert (direction[:, :, 0].T == np.roll(poly, -1, axis=0) - poly).all()
 
     def test_vertex_c_n3(self):
         report = minimize_kl_over_polygon(3, NormalizedCoords(0.0, 1.0))
@@ -158,7 +180,7 @@ class TestPolygonOracle:
         """A state 1e-13 to 1e-11 outside D-A' or A'-E is not taken as its own
         minimizer, so the oracle meets the closed form at every N (an absolute
         1e-12 tolerance called half of them inside, value 0)."""
-        poly = _normalized_polygon(N, ppt_polygon(N))
+        poly = _polygon(N)[0]
         pts = []
         for i in (1, 2):  # the edges D-A' and A'-E, the two inside the simplex
             (ox, oy), (qx, qy) = poly[i], poly[(i + 1) % len(poly)]
@@ -168,8 +190,8 @@ class TestPolygonOracle:
                 for d in (1e-13, 1e-12, 1e-11):
                     pts.append((ox + f * (qx - ox) + d * nx, oy + f * (qy - oy) + d * ny))
         xs, ys = (np.array(c) for c in zip(*pts))
-        assert not _inside_mask(poly, xs, ys).any()
-        orac = _polygon_search(poly, xs, ys, _POLYGON_TOL)[2]
+        orac, steps = _polygon_search(N, xs, ys, _POLYGON_TOL)[2:4]
+        assert (steps > 0).all()  # each one searched, none taken for its own minimizer
         closed = [ree_3xn_odd(N, NormalizedCoords(x, y)).value for x, y in pts]
         assert np.abs(orac - closed).max() <= 1e-15
 
@@ -213,10 +235,10 @@ class TestSegmentSearch:
         """The simplex vertices A, B, C and the polygon's own vertices: every
         optimum is a polygon vertex (C at N = 3 lies over the flat edge A'E,
         y = 1/2) and its value is the KL to that vertex, with no NaN."""
-        poly = _normalized_polygon(N, ppt_polygon(N))
+        poly = _polygon(N)[0]
         pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)] + [tuple(v) for v in poly.tolist()]
         xs, ys = (np.array(c) for c in zip(*pts))
-        bx, by, vals, steps, widths = _polygon_search(poly, xs, ys, _POLYGON_TOL)
+        bx, by, vals, steps, widths = _polygon_search(N, xs, ys, _POLYGON_TOL)
         assert not np.isnan(np.concatenate((bx, by, vals, widths))).any()
         assert (steps < _MAX_STEPS).all() and (widths <= _POLYGON_TOL).all()
         corners = [tuple(v) for v in poly.tolist()]
@@ -232,7 +254,7 @@ class TestSegmentSearch:
     def test_infinite_edge_loses(self):
         """Edge A-D lies on y = 0: a state with y > 0 has KL +inf along all of
         it, which takes no step and loses to the finite edges."""
-        poly = _normalized_polygon(5, ppt_polygon(5))
+        poly = _polygon(5)[0]
         (ax, ay), (dx, dy) = poly[0], poly[1]
         q, vals, steps, widths = _segment_search(
             np.array([[0.9], [0.05], [0.05]]), np.array([[ax], [ay], [1.0 - ax - ay]]),
@@ -243,18 +265,18 @@ class TestSegmentSearch:
         assert report.optimum_value == pytest.approx(
             ree_3xn_odd(5, NormalizedCoords(0.9, 0.05)).value, abs=1e-15)
 
-    @pytest.mark.parametrize("N", [3, 4, 101])
+    @pytest.mark.parametrize("N", [3, 4, 101, 10**8 + 1])
     def test_batch_equals_scalar_calls_at_the_boundary(self, N):
         """Vertices, points on edges and states with a coordinate of 0 or of
         5e-324 freeze at different steps; each keeps its scalar call's bits."""
-        poly = _normalized_polygon(N, ppt_polygon(N))
+        poly = _polygon(N)[0]
         pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.9, 5e-324), (5e-324, 0.99),
-               (0.6, 0.0), (0.0, 0.7), (0.3, 0.7)]
+               (0.6, 0.0), (0.0, 0.7), (0.3, 0.7)] + boundary_sweep(N)[::3]
         for i in range(len(poly)):
             (ox, oy), (qx, qy) = poly[i], poly[(i + 1) % len(poly)]
             pts += [(ox, oy), (ox + 0.5 * (qx - ox), oy + 0.5 * (qy - oy))]
         xs, ys = (np.array(c) for c in zip(*pts))
-        batch = _polygon_search(poly, xs, ys, _POLYGON_TOL)
+        batch = _polygon_search(N, xs, ys, _POLYGON_TOL)
         for k, (x, y) in enumerate(pts):
             report = minimize_kl_over_polygon(N, NormalizedCoords(x, y))
             assert (report.optimum_value, *report.optimum_point, report.iterations,
@@ -291,12 +313,44 @@ class TestSegmentSearch:
         at the nearest float inside (bisection toward E took up to 38 steps)."""
         pts = [(5e-324, 0.99), (1e-323, 0.99), (1e-310, 0.99), (1e-300, 0.99)]
         xs, ys = (np.array(c) for c in zip(*pts))
-        poly = _normalized_polygon(N, ppt_polygon(N))
-        _, _, vals, steps, widths = _polygon_search(poly, xs, ys, _POLYGON_TOL)
+        _, _, vals, steps, widths = _polygon_search(N, xs, ys, _POLYGON_TOL)
         closed = np.array([ree_dispatch(Spin(2), Spin(N - 1), normalized_to_raw(
             N, NormalizedCoords(x, y)).alphas()).value for x, y in pts])
         assert steps.max() <= 12 and (widths <= _POLYGON_TOL).all()
         assert np.abs(vals - closed).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRootStart:
+    """Along an edge F = f' prod q is a quadratic in s: a search that starts at its
+    root certifies at step 2 (a start at the secant root took 2 to 26)."""
+
+    @pytest.mark.parametrize("N", [*range(3, 12), 101, 10**4 + 1, 10**8 + 1])
+    def test_every_3xn_search_takes_two_steps(self, N):
+        """No exception on the sweep: every searched state (steps > 0) takes 2, and
+        its value is within 1e-15 of the closed form (3.6e-16 seen)."""
+        pts = boundary_sweep(N)
+        xs, ys = (np.array(c) for c in zip(*pts))
+        _, _, vals, steps, widths = _polygon_search(N, xs, ys, _POLYGON_TOL)
+        assert set(steps.tolist()) == {0, 2} and (widths <= _POLYGON_TOL).all()
+        closed = [_value_3xn(N, NormalizedCoords(x, y)) for x, y in pts]
+        assert np.abs(vals - closed).max() <= 1e-15
+
+    @pytest.mark.parametrize("N,x,y,gap", [
+        (10**8 + 1, 1e-17, 0.99999999, 1e-15),  # 8 steps and a gap of 1.5e-10 from the secant
+        (10**4 + 1, 1e-17, 0.9999999999, 1e-15),  # a gap of 1.0e-13 from the secant
+        (10**4 + 1, 0.99, 5e-324, 1e-15),  # 13 steps from the secant
+        (10**8 + 1, 0.99999999999999, 5e-324, 1e-15),  # 26 steps from the secant
+        (101, 5e-324, 0.99, 1e-16),  # 5 steps from the secant, a gap of 5.9e-17
+    ])
+    def test_states_at_a_q_zero_end(self, N, x, y, gap):
+        """An outcome with a tiny p has q = 0 at s = 0 on the edge searched, so -F(0) =
+        g0 is tiny next to g1 > 0, or 0 where p a underflows: 2 g0 / (sqrt(D) - g1)
+        would cancel, or give the root s = 0 of prod q, where (g1 + sqrt(D)) / (-2 g2)
+        does neither."""
+        report = minimize_kl_over_polygon(N, NormalizedCoords(x, y))
+        assert report.iterations == 2 and report.converged
+        assert abs(report.optimum_value - _value_3xn(N, NormalizedCoords(x, y))) <= gap
 
 
 class TestPPTEigenvalue:
@@ -447,48 +501,75 @@ class TestIndependentRoute:
 
 # SHA-256 of `oracle_fingerprint()` with numpy's AVX-512 dispatch off: any change
 # to a bit of the oracle's searches or campaign summaries changes it
-ORACLE_FINGERPRINT = "737c9386c22fcfe8e9d02dbeafb1ef81da68f7c8aa83aa508bfc8a8125d7b3bb"
+ORACLE_FINGERPRINT = "7e38320e685426d8f730aebd73cce85161c6d538633f402a6e5596167e380d79"
+# SHA-256 of `interval_fingerprint()` likewise: the 2(x)N searches alone, unchanged
+# since the 3(x)N searches start at the exact root of a quadratic
+INTERVAL_FINGERPRINT = "ec62c95f8c01d6693526730b2770389027ec3e0c83c1c2065ce08d65eb0188b9"
+
+
+def sha256_of(outputs) -> str:
+    """SHA-256 over float.hex of every number of each output, with a ';' after each."""
+    digest = hashlib.sha256()
+    for out in outputs:
+        for v in np.ravel(np.asarray(out, dtype=float)):
+            digest.update(float(v).hex().encode() + b",")
+        digest.update(b";")
+    return digest.hexdigest()
 
 
 def oracle_fingerprint() -> str:
     """SHA-256 over float.hex of the values, points, steps and widths of a
     fixed set of interval and polygon searches, and of the worst gap and
     worst input of every campaign at two seeds."""
-    digest = hashlib.sha256()
+    def outputs():
+        for tj in (1, 2, 3, 4):
+            j = Spin(tj)
+            ps = np.concatenate([np.random.default_rng(500 + tj).random(60),
+                                 [0.0, 1.0, separability_threshold(j)]])
+            yield from _interval_search(j, ps, _INTERVAL_TOL)
+        for N in (3, 4, 5, 6, 7):
+            poly = _polygon(N)[0]
+            xs, ys = simplex_points(60, seed=600 + N)
+            pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]  # the simplex vertices A, B, C
+            for i in range(len(poly)):  # the polygon's vertices and points on its edges
+                (ox, oy), (qx, qy) = poly[i], poly[(i + 1) % len(poly)]
+                pts += [(ox + f * (qx - ox), oy + f * (qy - oy)) for f in (0.0, 0.25, 0.5, 0.9)]
+            xs = np.concatenate([xs, [p[0] for p in pts]])
+            ys = np.concatenate([ys, [p[1] for p in pts]])
+            yield from _polygon_search(N, xs, ys, _POLYGON_TOL)
+        for seed in (8, 21):
+            for family, param in CAMPAIGNS:
+                summary = verify_closed_form(family, param, samples=20, seed=seed, tol=1e-6)
+                yield from (summary.max_abs_diff, summary.worst_input)
+    return sha256_of(outputs())
 
-    def put(*outputs):
-        for out in outputs:
-            for v in np.ravel(np.asarray(out, dtype=float)):
-                digest.update(float(v).hex().encode() + b",")
-            digest.update(b";")
 
-    for tj in (1, 2, 3, 4):
-        j = Spin(tj)
-        ps = np.concatenate([np.random.default_rng(500 + tj).random(60),
-                             [0.0, 1.0, separability_threshold(j)]])
-        put(*_interval_search(j, ps, _INTERVAL_TOL))
-    for N in (3, 4, 5, 6, 7):
-        poly = _normalized_polygon(N, ppt_polygon(N))
-        xs, ys = simplex_points(60, seed=600 + N)
-        pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]  # the simplex vertices A, B, C
-        for i in range(len(poly)):  # the polygon's vertices and points on its edges
-            (ox, oy), (qx, qy) = poly[i], poly[(i + 1) % len(poly)]
-            pts += [(ox + f * (qx - ox), oy + f * (qy - oy)) for f in (0.0, 0.25, 0.5, 0.9)]
-        xs = np.concatenate([xs, [p[0] for p in pts]])
-        ys = np.concatenate([ys, [p[1] for p in pts]])
-        put(*_polygon_search(poly, xs, ys, _POLYGON_TOL))
-    for seed in (8, 21):
-        for family, param in CAMPAIGNS:
-            summary = verify_closed_form(family, param, samples=20, seed=seed, tol=1e-6)
-            put(summary.max_abs_diff, summary.worst_input)
-    return digest.hexdigest()
+def interval_fingerprint() -> str:
+    """SHA-256 over float.hex of the points, values, steps and widths of 2(x)N
+    interval searches: 2,000 seeded p per j, the ends, the threshold, its float
+    neighbours and p down to 5e-324."""
+    def outputs():
+        for tj in (1, 2, 3, 4, 5, 9, 40, 99):
+            pc = separability_threshold(Spin(tj))
+            ps = np.concatenate([np.random.default_rng(800 + tj).random(2000), [
+                0.0, 5e-324, 1e-323, 1e-310, 1e-300, 1e-17, pc, np.nextafter(pc, 0.0),
+                np.nextafter(pc, 1.0), 1.0 - 2.0 ** -53, 1.0]])
+            yield from _interval_search(Spin(tj), ps, _INTERVAL_TOL)
+    return sha256_of(outputs())
 
 
 class TestBitIdentity:
-    def test_oracle_outputs_are_pinned(self):
-        """Computed with numpy's AVX-512 dispatch off (`simd_dispatch`), whose
-        float64 log differs from the other code paths in the last bit."""
-        done = run_avx512_off("-c", "from test_oracle import oracle_fingerprint; "
-                              "print(oracle_fingerprint())")
+    """Computed with numpy's AVX-512 dispatch off (`simd_dispatch`), whose float64
+    log differs from the other code paths in the last bit."""
+
+    @staticmethod
+    def fingerprint(name: str) -> str:
+        done = run_avx512_off("-c", f"from test_oracle import {name}; print({name}())")
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == ORACLE_FINGERPRINT
+        return done.stdout.strip()
+
+    def test_oracle_outputs_are_pinned(self):
+        assert self.fingerprint("oracle_fingerprint") == ORACLE_FINGERPRINT
+
+    def test_interval_outputs_are_pinned(self):
+        assert self.fingerprint("interval_fingerprint") == INTERVAL_FINGERPRINT

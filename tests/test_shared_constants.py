@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from ri_entropy import angular, geometry, states
+from ri_entropy import angular, geometry, oracle, states
 from ri_entropy.angular import Spin, coupling_range
 from ri_entropy.geometry import classify_region, normalized_chart, region_polygons
 from ri_entropy.states import NormalizedCoords, block_weights
@@ -12,7 +12,8 @@ from ri_entropy.states import NormalizedCoords, block_weights
 BUILDERS = [angular._coupling_range, angular._projector, angular._projector_stacks,
             angular._m_blocks, angular._reversed_blocks,
             states._block_weights, states._block_weight_array, states._density_scales,
-            states._prefactors, states._spin_of_n, geometry._normalized_chart, geometry._lines]
+            states._prefactors, states._spin_of_n, geometry._normalized_chart, geometry._lines,
+            oracle._polygon]
 
 
 def test_block_weights_are_read_only():
