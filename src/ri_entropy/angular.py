@@ -262,15 +262,6 @@ def _m_blocks(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray, int]:
     return take, pad, zero
 
 
-# keyed on the doubled spins, as _projector_stacks is
-@lru_cache(maxsize=64)
-def _reversed_blocks(tj1: int, tj2: int) -> np.ndarray:
-    """The reversed stack of `_projector_stacks` in the block layout of `_m_blocks`, read-only."""
-    stack = _projector_stacks(tj1, tj2)[1][:, _m_blocks(tj1 + 1, tj2 + 1)[0].ravel()]
-    stack.flags.writeable = False
-    return stack
-
-
 def rotation_y_pi(j: Spin) -> DenseOperator:
     """The pi-rotation about the y axis: V[m', m] = (-1)^(j-m) delta_{m', -m}."""
     import numpy as np

@@ -1,14 +1,19 @@
 """Independent numerical verification of the closed forms.
 
 Minimization of the reduced KL objective over the feasible set (the PPT
-interval for 2(x)N, a convex polygon for 3(x)N), dense partial-transpose
-eigenvalue tests, and a batch closed-form-vs-oracle comparison.  The
+interval for 2(x)N, a convex polygon for 3(x)N), the partial-transpose
+eigenvalue test, and a batch closed-form-vs-oracle comparison.  The
 objective and the sets are convex, so a feasible state is its own minimum
 and any other lies on the boundary: a safeguarded Newton search on the
 slope along each polygon edge (or the interval), in lockstep over every
 edge of every sample, started at the exact root of the slope times the
 product of the q's, a polynomial of degree 1 (interval) or 2 (edge) in the
 segment parameter.  Infinite KL values lose every comparison.
+
+The partial time reversal of an RI state is again U(x)U-invariant, a sum of
+the P_K, so its spectrum is n_J numbers: one product of the state's alphas
+with a per-spin-pair map built from the dense projectors and their
+reversals, not from the closed forms.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import Spin, _m_blocks, _reversed_blocks
+from .angular import Spin, _projector_stacks
 from .closed_form import _value_2xn, _value_3xn, separability_threshold
 from .geometry import ppt_polygon
-from .states import NormalizedCoords, RIState, _check_n, _dense, _prefactors
+from .states import NormalizedCoords, RIState, _check_n, _density_scales, _prefactors
 
 __all__ = [
     "MinimizationReport",
@@ -86,15 +91,16 @@ def _segment_search(p, q0, q1, tol: float):
     n, dim = p.shape[1], len(p)
     s_out, widths, steps = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
     live = np.flatnonzero(~(on & (q0 <= 0.0) & (q1 <= 0.0)).any(axis=0))
-    # a, q at s = 0 and p of the live columns, shaped (3, outcomes, 1, columns)
-    # against rows of points; an outcome off the support has q = 1 and adds 0
-    coef = np.array((np.where(on, q1 - q0, 0.0), np.where(on, q0, 1.0), p))[:, :, None, live]
+    # a, q at s = 0 and p, shaped (outcomes, 1, columns) against rows of points; an
+    # outcome off the support has q = 1 and adds 0
+    a, b, pk = np.where(on, q1 - q0, 0.0)[:, None], np.where(on, q0, 1.0)[:, None], p[:, None]
+    if live.size < n:
+        a, b, pk = a[..., live], b[..., live], pk[..., live]
     h = max(0.25 * tol, 2.0 ** -52)
     probes = np.array([[-h], [0.0], [h]])
     step = 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         def slopes(t):  # f' at points t stacked as (rows, columns), with a / q, p a / q, q
-            a, b, pk = coef
             q = np.maximum(b + t * a, 0.0)
             u = a / q
             r = pk * u
@@ -104,7 +110,6 @@ def _segment_search(p, q0, q1, tol: float):
         hi = np.where(d0 >= 0.0, 0.0, 1.0)
         lo = np.where(d1 <= 0.0, hi, 0.0)
         # -F = f' prod q: the sum over k of p_k a_k times the other outcomes' q
-        a, _, pk = coef
         if dim == 2:  # F is linear: its root is the secant root
             f0, f1 = _total(pk * a * q[::-1])
             s = f0 / (f0 - f1)
@@ -130,23 +135,24 @@ def _segment_search(p, q0, q1, tol: float):
             lo = np.where(ds < 0.0, s, lo)
             hi = np.where(ds > 0.0, s, hi)
             x = s - ds / _total(u[:, 1] * (r[:, 1] + ds))  # F / F' = f' / sum u (r + f') at s
-            newton = (x >= lo) & (x <= hi)
             width = t[2] - t[0]
             certified = ((dl <= 0.0) | (t[0] <= 0.0)) & ((dr >= 0.0) | (t[2] >= 1.0))
             done = certified & (width <= tol) & np.isfinite(ds)  # at a point of finite KL
             if step == _MAX_STEPS:  # the last certificate, else the bracket
                 widths[live] = np.where(certified, width, hi - lo)
-            s_next = np.where(newton, x, 0.5 * (lo + hi))
             if done.any():
-                k = live[done]
                 # an end of the open bracket may be a q = 0 barrier: keep s there
-                s_out[k] = np.where((x > lo) & (x < hi) & (x >= t[0]) & (x <= t[2]), x, s)[done]
-                widths[k], steps[k] = width[done], step
-                keep = ~done
-                live, s_next, lo, hi = live[keep], s_next[keep], lo[keep], hi[keep]
-                coef = coef[..., keep]
-            s = s_next
-        s_out[live], steps[live] = s, step  # stopped by the cap
+                point = np.where((x > lo) & (x < hi) & (x >= t[0]) & (x <= t[2]), x, s)
+                if done.all():  # the usual end, at step 2: store, and shrink nothing
+                    s_out[live], widths[live], steps[live] = point, width, step
+                    break
+                k, keep = live[done], ~done
+                s_out[k], widths[k], steps[k] = point[done], width[done], step
+                live, x, lo, hi = live[keep], x[keep], lo[keep], hi[keep]
+                a, b, pk = a[..., keep], b[..., keep], pk[..., keep]
+            s = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))  # Newton's, else bisect
+        else:
+            s_out[live], steps[live] = s, step  # stopped by the cap
         # the ends and the point, ascending: argmin breaks ties to the smaller s
         cands = np.array((np.zeros(n), s_out, np.ones(n)))
         q = np.maximum((1.0 - cands) * q0[:, None] + cands * q1[:, None], 0.0)
@@ -228,15 +234,25 @@ def minimize_kl_over_polygon(N: int, coords: NormalizedCoords) -> MinimizationRe
                               converged=bool(width[0] <= _POLYGON_TOL))
 
 
+@lru_cache(maxsize=64)
+def _reversal_map(tj1: int, tj2: int) -> np.ndarray:
+    """M[K, J] = tr(P_K theta(P_J)) / ((2K+1) sqrt(N1 N2 (2J+1))) of the spins (tj1/2,
+    tj2/2), read-only: the partial time reversal of a U(x)U-invariant operator is
+    U(x)U-invariant (Vollbrecht and Werner, PRA 64, 062307 (2001)), so that of the
+    state sum_J alpha_J P_J / sqrt(N1 N2 (2J+1)) is sum_K (M alpha)_K P_K.  The
+    projectors and their reversals are real and symmetric: one product of the two
+    stacks of `angular._projector_stacks` gives every trace."""
+    stack, images = _projector_stacks(tj1, tj2)
+    ranks = np.arange(abs(tj1 - tj2), tj1 + tj2 + 1, 2) + 1.0  # 2K + 1 = tr P_K
+    arr = stack @ images.T / np.multiply.outer(ranks, _density_scales(tj1, tj2))
+    arr.flags.writeable = False
+    return arr
+
+
 def ppt_min_eigenvalue(state: RIState) -> float:
-    """Smallest eigenvalue of the partial time-reversal of the dense state: one product
-    over the reversed projectors gives its padded total-M blocks (`angular._m_blocks`),
-    and one eigvalsh call solves them.  The padding's 1 is the most any eigenvalue of
-    a reversed state can be, so it never lowers the minimum."""
-    tj1, tj2 = state.j1.twice_j, state.j2.twice_j
-    pad = _m_blocks(tj1 + 1, tj2 + 1)[1]
-    return float(np.linalg.eigvalsh(
-        _dense(state, _reversed_blocks(tj1, tj2)).reshape(pad.shape) + pad).min())
+    """Smallest eigenvalue of the partial time reversal of the dense state: the least
+    of its n_J eigenvalues M alpha, each that of a P_K (`_reversal_map`)."""
+    return min(_reversal_map(state.j1.twice_j, state.j2.twice_j).dot(state.alphas()).tolist())
 
 
 def verify_closed_form(family: str, param, samples: int, seed: int,

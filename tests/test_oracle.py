@@ -40,6 +40,7 @@ from ri_entropy.states import (
     to_density,
 )
 from simd_dispatch import run_avx512_off
+from test_closed_form import ree_3xn, simplex_samples
 
 
 def simplex_points(n: int, seed: int):
@@ -199,7 +200,6 @@ class TestPolygonOracle:
     def test_one_sided_slack_vs_closed_form(self, N):
         """The oracle never undercuts the closed form by more than 1e-9 and
         never exceeds it by more than 1e-6."""
-        from tests.test_closed_form import ree_3xn, simplex_samples
         for coords in simplex_samples(40, seed=900 + N):
             closed = ree_3xn(N, coords).value
             orac = minimize_kl_over_polygon(N, coords).optimum_value

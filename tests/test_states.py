@@ -275,6 +275,8 @@ class TestToDensity:
 # every spin pair of the benchmark's dense chains: 2(x)N for 2j <= 10, 3(x)N for N <= 11
 DENSE_PAIRS = ([(Spin(1), Spin(tj)) for tj in range(1, 11)]
                + [(Spin(2), Spin(N - 1)) for N in range(3, 12)])
+# pairs with j1 = 3/2, outside the closed forms' domain: the dense layer takes any spins
+WIDER_PAIRS = [(Spin(3), Spin(3)), (Spin(3), Spin(8))]
 
 
 class TestProjectorStacks:
@@ -317,22 +319,23 @@ class TestProjectorStacks:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTotalMBlocks:
-    """quantum_relative_entropy and ppt_min_eigenvalue solve the total-M blocks
-    of RI operators, padded to one size, in one call.
+    """quantum_relative_entropy solves the total-M blocks of RI operators,
+    padded to one size, in one call; ppt_min_eigenvalue reads the spectrum of
+    the partial time reversal off the reversal map.
 
     The whole matrix is the reference: `ppt_min_eigenvalue` against eigvalsh of
     the dense partial time reversal, and `quantum_relative_entropy` against
     itself on operators without dims, which take the one-block path.  The
     bounds are about 10x the largest gaps seen over these states: 8.3e-17
-    (eigenvalue) and 1.6e-12 (relative entropy, whose Dirichlet draws reach
-    values near 10 and block probabilities near 1e-5).
+    (eigenvalue; 2.2e-16 with the map) and 1.6e-12 (relative entropy, whose
+    Dirichlet draws reach values near 10 and block probabilities near 1e-5).
     """
 
     @staticmethod
     def whole(op):
         return DenseOperator(op.mat)  # no dims: one block of the whole matrix
 
-    @pytest.mark.parametrize("j1,j2", DENSE_PAIRS)
+    @pytest.mark.parametrize("j1,j2", DENSE_PAIRS + WIDER_PAIRS)
     def test_blocks_match_the_whole_matrix(self, j1, j2):
         rng = np.random.default_rng(90 + 16 * j1.twice_j + j2.twice_j)
         k = min(j1.dim, j2.dim)
@@ -399,9 +402,9 @@ class TestTotalMBlocks:
 
     @pytest.mark.parametrize("j1,j2", DENSE_PAIRS)
     def test_padding_never_lowers_the_ppt_eigenvalue(self, j1, j2):
-        """The padding is 1, above every eigenvalue of a reversed state.  The
-        maximally mixed state has the largest smallest eigenvalue, 1/dim; the
-        simplex vertices put all weight on one J."""
+        """The ends of the PPT test: the maximally mixed state has the largest
+        smallest eigenvalue, 1/dim; the simplex vertices put all weight on one J.
+        (Named for the padded eigen-solve that the reversal map replaced.)"""
         dim = j1.dim * j2.dim
         mixed = maximally_mixed(j1, j2)
         assert abs(ppt_min_eigenvalue(mixed) - 1.0 / dim) <= 1e-15
