@@ -41,7 +41,11 @@ __all__ = [
 _MAX_STEPS = 200  # reached only when tol is below the float grid at the optimum
 _INTERVAL_TOL = 1e-10  # certified bracket width in the parameter s = q / pc of the 2(x)N segment
 _POLYGON_TOL = 1e-9    # certified bracket width in the edge parameter s of the 3(x)N search
-_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])  # for each of three outcomes, the other two
+_OTHERS = np.array([1, 0, 0]), np.array([2, 2, 1])  # for each of three outcomes, the other two
+_ENDS = np.array([[0.0], [1.0], [0.0]])  # s = 0 and 1, one row each, and a spare row
+_PROBES = np.array([[-1.0], [0.0], [1.0]])  # s - h, s, s + h in units of h
+_CANDIDATES = np.array([[0.0], [0.0], [1.0]])  # s = 0, the search's point, s = 1: KL compared
+_ZERO, _ONE = np.array(0.0), np.array(1.0)  # 0-d: numpy converts a Python float on each call
 
 # (family, param) of the closed-form-vs-oracle campaign over every family
 CAMPAIGNS = (("2xN", 0.5), ("2xN", 1.0), ("2xN", 1.5), ("2xN", 2.0),
@@ -73,10 +77,11 @@ class VerificationSummary:
 
 
 def _total(rows):
-    """Sum over the outcome axis, row by row: a batch adds as its scalar calls do."""
-    return sum(rows[1:], rows[0])
+    """Sum over the outcome axis: numpy adds 2 or 3 rows in order, as a batch's scalar calls do."""
+    return np.add.reduce(rows, axis=0)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _segment_search(p, q0, q1, tol: float):
     """Minimize KL(p || q0 + s (q1 - q0)) over s in [0, 1] for every column of the
     (outcomes, columns) array p, q0 and q1 broadcast to it, by a safeguarded Newton
@@ -86,92 +91,92 @@ def _segment_search(p, q0, q1, tol: float):
     inside the bracket that the sign of f' shrinks, or bisect it.  A column freezes at
     a point of finite f' once f' changes sign across s -+ h, a bracket at most tol
     wide; a tol below the float grid runs to `_MAX_STEPS`.  Returns (points q, values,
-    steps, widths); each point is the best of the search's point and the two ends."""
-    on = p > 0.0
+    steps, widths); each point is the best of the search's point and the two ends.
+    Arrays are (outcomes, 3 rows of points, columns), with p in each row so that most
+    operands share one shape; e = -f' = sum p a / q."""
     n, dim = p.shape[1], len(p)
-    s_out, widths, steps = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
-    live = np.flatnonzero(~(on & (q0 <= 0.0) & (q1 <= 0.0)).any(axis=0))
-    # a, q at s = 0 and p, shaped (outcomes, 1, columns) against rows of points; an
-    # outcome off the support has q = 1 and adds 0
-    a, b, pk = np.where(on, q1 - q0, 0.0)[:, None], np.where(on, q0, 1.0)[:, None], p[:, None]
-    if live.size < n:
+    dead = (p > _ZERO) & (np.maximum(q0, q1) <= _ZERO)  # q = 0 at both ends: KL = +inf
+    p, q0, q1 = p[:, None].repeat(3, axis=1), q0[:, None], q1[:, None]
+    on = p > _ZERO
+    cands = _CANDIDATES.repeat(n, axis=1)
+    s_out, widths, steps = cands[1], np.zeros(n), np.zeros(n, dtype=int)
+    # a and q at s = 0; an outcome off the support has q = 1 and adds 0
+    a, b, pk = np.where(on, q1 - q0, _ZERO), np.where(on, q0, _ONE), p
+    cols = live = np.arange(n)
+    if np.count_nonzero(dead):
+        live = (~np.logical_or.reduce(dead, axis=0)).nonzero()[0]
         a, b, pk = a[..., live], b[..., live], pk[..., live]
-    h = max(0.25 * tol, 2.0 ** -52)
-    probes = np.array([[-h], [0.0], [h]])
-    step = 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        def slopes(t):  # f' at points t stacked as (rows, columns), with a / q, p a / q, q
-            q = np.maximum(b + t * a, 0.0)
-            u = a / q
-            r = pk * u
-            return -_total(r), u, r, q
+    probes, step = max(0.25 * tol, 2.0 ** -52) * _PROBES, 1
 
-        (d0, d1), _, _, q = slopes(np.array([[0.0], [1.0]]))
-        hi = np.where(d0 >= 0.0, 0.0, 1.0)
-        lo = np.where(d1 <= 0.0, hi, 0.0)
-        # -F = f' prod q: the sum over k of p_k a_k times the other outcomes' q
-        if dim == 2:  # F is linear: its root is the secant root
-            f0, f1 = _total(pk * a * q[::-1])
-            s = f0 / (f0 - f1)
-        else:  # -F = g0 + g1 s + g2 s^2, g0 = f0, g1 = f1 - f0 - g2: one leave-one-out
-            # product gives -F at s = 0 and 1 and, with each a in place of q, g2
-            f0, f1, g2 = _total(pk * a * np.concatenate((q, a), axis=1)[_OTHERS].prod(axis=1))
-            g = np.array((f0, f1 - f0 - g2, g2))
-            # scaled so that g1^2 cannot underflow; f0 >= 0 >= f1 puts one root in the
-            # bracket (g2 < 0 if g1 > 0), taken in the form that does not cancel
-            g0, g1, g2 = g / np.abs(g).max(axis=0)
-            sq = np.sqrt(g1 * g1 - 4.0 * g0 * g2)
-            s = np.where(g1 > 0.0, (g1 + sq) / (-2.0 * g2), 2.0 * g0 / (sq - g1))
-        # an optimum within the float resolution of an end where a q is 0 puts the
-        # root on that end, where the slope is infinite and every later step would
-        # bisect toward it: start at least 2^-53 inside (at 1, the nearest float),
-        # where the slope is finite and the probes reach the end
-        s = np.minimum(np.maximum(s, 2.0 ** -53), 1.0 - 2.0 ** -53)
-        s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
-        while live.size and step < _MAX_STEPS:
-            step += 1
-            t = s + probes
-            (dl, ds, dr), u, r, _ = slopes(t)
-            lo = np.where(ds < 0.0, s, lo)
-            hi = np.where(ds > 0.0, s, hi)
-            x = s - ds / _total(u[:, 1] * (r[:, 1] + ds))  # F / F' = f' / sum u (r + f') at s
-            width = t[2] - t[0]
-            certified = ((dl <= 0.0) | (t[0] <= 0.0)) & ((dr >= 0.0) | (t[2] >= 1.0))
-            done = certified & (width <= tol) & np.isfinite(ds)  # at a point of finite KL
-            if step == _MAX_STEPS:  # the last certificate, else the bracket
-                widths[live] = np.where(certified, width, hi - lo)
-            if done.any():
-                # an end of the open bracket may be a q = 0 barrier: keep s there
-                point = np.where((x > lo) & (x < hi) & (x >= t[0]) & (x <= t[2]), x, s)
-                if done.all():  # the usual end, at step 2: store, and shrink nothing
-                    s_out[live], widths[live], steps[live] = point, width, step
-                    break
-                k, keep = live[done], ~done
-                s_out[k], widths[k], steps[k] = point[done], width[done], step
-                live, x, lo, hi = live[keep], x[keep], lo[keep], hi[keep]
-                a, b, pk = a[..., keep], b[..., keep], pk[..., keep]
-            s = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))  # Newton's, else bisect
-        else:
-            s_out[live], steps[live] = s, step  # stopped by the cap
-        # the ends and the point, ascending: argmin breaks ties to the smaller s
-        cands = np.array((np.zeros(n), s_out, np.ones(n)))
-        q = np.maximum((1.0 - cands) * q0[:, None] + cands * q1[:, None], 0.0)
-        terms = p[:, None] * np.log(p[:, None] / q)
-        np.copyto(terms, 0.0, where=~on[:, None])
-        vals = np.maximum(_total(terms), 0.0)
-    best = np.argmin(vals, axis=0)
-    cols = np.arange(n)
+    def descents(t):  # e at the points t, (rows, columns), with a / q, p a / q and q
+        q = np.maximum(b + t * a, _ZERO)
+        r = pk * (u := a / q)
+        return _total(r), u, r, q
+
+    (e0, e1, _), _, _, q = descents(_ENDS)
+    hi = _ONE - (e0 <= _ZERO)  # 0 if f' >= 0 at s = 0, else 1
+    lo = hi * (e1 >= _ZERO)  # hi if f' <= 0 at s = 1, else 0
+    # -F = f' prod q: the sum over k of p_k a_k times the other outcomes' q
+    if dim == 2:  # F is linear: its root is the secant root
+        f0, f1, _ = _total(pk * a * q[::-1])
+        s = f0 / (f0 - f1)
+    else:  # -F = g0 + g1 s + g2 s^2, g0 = f0, g1 = f1 - f0 - g2: one leave-one-out product
+        # gives -F at s = 0 and 1 and, with each a in place of q in the spare row, g2
+        q[:, 2] = a[:, 0]
+        f0, f1, g2 = g = _total(pk * a * (q[_OTHERS[0]] * q[_OTHERS[1]]))
+        np.subtract(f1 - f0, g2, out=f1)  # g is now (g0, g1, g2)
+        # scaled so that g1^2 cannot underflow; f0 >= 0 >= f1 puts one root in the
+        # bracket (g2 < 0 if g1 > 0), taken in the form that does not cancel
+        g0, g1, g2 = g / np.maximum.reduce(np.abs(g), axis=0)
+        sq = np.sqrt(g1 * g1 - 4.0 * g0 * g2)
+        s = np.where(g1 > 0.0, (g1 + sq) / (-2.0 * g2), 2.0 * g0 / (sq - g1))
+    # an optimum within the float resolution of an end where a q is 0 puts the
+    # root on that end, where the slope is infinite and every later step would
+    # bisect toward it: start at least 2^-53 inside (at 1, the nearest float),
+    # where the slope is finite and the probes reach the end
+    s = np.minimum(np.maximum(s, 2.0 ** -53), 1.0 - 2.0 ** -53)
+    s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
+    while live.size and step < _MAX_STEPS:
+        step += 1
+        tl, _, tr = t = s + probes
+        e, u, r, _ = descents(t)
+        el, es, er = e
+        lo = np.where(es > _ZERO, s, lo)
+        hi = np.where(es < _ZERO, s, hi)
+        x = s + es / _total(u * (r - e))[1]  # F / F' = f' / sum u (r + f') at s
+        width = tr - tl
+        certified = ((el >= _ZERO) | (tl <= _ZERO)) & ((er <= _ZERO) | (tr >= _ONE))
+        done = certified & (width <= tol) & np.isfinite(es)  # at a point of finite KL
+        if step == _MAX_STEPS:  # the last certificate, else the bracket
+            widths[live] = np.where(certified, width, hi - lo)
+        if finished := np.count_nonzero(done):
+            # an end of the open bracket may be a q = 0 barrier: keep s there
+            point = np.where((x > lo) & (x < hi) & (x >= tl) & (x <= tr), x, s)
+            if finished == live.size:  # the usual end, at step 2: store, and shrink nothing
+                s_out[live], widths[live], steps[live] = point, width, step
+                break
+            k, keep = live[done], ~done
+            s_out[k], widths[k], steps[k] = point[done], width[done], step
+            live, x, lo, hi = live[keep], x[keep], lo[keep], hi[keep]
+            a, b, pk = a[..., keep], b[..., keep], pk[..., keep]
+        s = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))  # Newton's, else bisect
+    else:
+        s_out[live], steps[live] = s, step  # stopped by the cap
+    # the ends and the point, ascending: argmin breaks ties to the smaller s
+    q = np.maximum((_ONE - cands) * q0 + cands * q1, _ZERO)
+    vals = np.maximum(_total(np.where(on, p * np.log(p / q), _ZERO)), _ZERO)
+    best = vals.argmin(axis=0)
     return q[:, best, cols], vals[best, cols], steps, widths
 
 
 def _interval_search(j: Spin, ps: np.ndarray, tol: float):
     """Batch minimization of KL(p || q) over q in [0, pc = 2j/(2j+1)] for every p
     in `ps`, one segment from q = (0, 1) to (pc, 1 - pc): (q*, values, steps, widths)."""
-    if not np.all((ps >= 0.0) & (ps <= 1.0)):
+    if not ((ps >= 0.0) & (ps <= 1.0)).all():
         raise ValueError(f"p must lie in [0, 1], got {ps}")
     pc = separability_threshold(j)
     q, vals, steps, widths = _segment_search(
-        np.array((ps, 1.0 - ps)), np.array([[0.0], [1.0]]), np.array([[pc], [1.0 - pc]]), tol)
+        np.array((ps, 1.0 - ps)), _ENDS[:2], np.array([[pc], [1.0 - pc]]), tol)
     return q[0], vals, steps, widths
 
 
@@ -206,21 +211,21 @@ def _polygon_search(N: int, xs: np.ndarray, ys: np.ndarray, tol: float):
     the best of one segment search per edge.  Returns (x*, y*, values, steps, widths),
     a state's steps and width being the largest over its edges."""
     poly, q0, q1, (ox, oy), (dx, dy) = _polygon(N)
-    xs_opt, ys_opt = xs.copy(), ys.copy()
-    vals, widths = np.zeros_like(xs), np.zeros_like(xs)
-    steps = np.zeros(len(xs), dtype=int)
-    out = ~(dx * (ys - oy) - dy * (xs - ox) >= 0.0).all(axis=0)
-    if out.any():
-        m, n = int(out.sum()), len(poly)
+    # rows x*, y*, value, steps, width: a state inside keeps (x, y, 0, 0, 0)
+    res = np.zeros((5, len(xs)))
+    res[0], res[1] = xs, ys
+    out = (~np.logical_and.reduce(dx * (ys - oy) - dy * (xs - ox) >= _ZERO, axis=0)).nonzero()[0]
+    if m := len(out):
+        n = len(poly)
         # one column per (state, edge), from each edge's start to its end
-        p = np.repeat(np.array((xs, ys, 1.0 - xs - ys))[:, out], n, axis=1)
-        q, *edge = _segment_search(p, np.tile(q0, m), np.tile(q1, m), tol)
-        edge_vals, edge_steps, edge_widths = (c.reshape(m, n) for c in edge)
-        rows, best = np.arange(m), np.argmin(edge_vals, axis=1)
-        xs_opt[out], ys_opt[out] = q[:2, rows * n + best]
-        vals[out] = edge_vals[rows, best]
-        steps[out], widths[out] = edge_steps.max(axis=1), edge_widths.max(axis=1)
-    return xs_opt, ys_opt, vals, steps, widths
+        p = np.array((xs, ys, 1.0 - xs - ys))[:, out].repeat(n, axis=1)
+        q, vals, steps, widths = _segment_search(
+            p, np.concatenate((q0,) * m, axis=1), np.concatenate((q1,) * m, axis=1), tol)
+        best = vals.reshape(m, n).argmin(axis=1) + np.arange(0, m * n, n)
+        res[:2, out], res[2, out] = q[:2, best], vals[best]
+        res[3, out] = np.maximum.reduce(steps.reshape(m, n), axis=1)
+        res[4, out] = np.maximum.reduce(widths.reshape(m, n), axis=1)
+    return res[0], res[1], res[2], res[3].astype(int), res[4]
 
 
 def minimize_kl_over_polygon(N: int, coords: NormalizedCoords) -> MinimizationReport:
@@ -252,7 +257,7 @@ def _reversal_map(tj1: int, tj2: int) -> np.ndarray:
 def ppt_min_eigenvalue(state: RIState) -> float:
     """Smallest eigenvalue of the partial time reversal of the dense state: the least
     of its n_J eigenvalues M alpha, each that of a P_K (`_reversal_map`)."""
-    return min(_reversal_map(state.j1.twice_j, state.j2.twice_j).dot(state.alphas()).tolist())
+    return min(_reversal_map(state.j1.twice_j, state.j2.twice_j).dot(state.coeffs.alphas).tolist())
 
 
 def verify_closed_form(family: str, param, samples: int, seed: int,
@@ -301,7 +306,7 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
         diffs = np.where(closed == orac, 0.0, np.abs(closed - orac))
     max_diff, worst = 0.0, ()  # no sample, no difference
     if samples:
-        k = int(np.argmax(diffs))  # the first sample on ties
+        k = int(diffs.argmax())  # the first sample on ties
         max_diff, worst = float(diffs[k]), tuple(float(c[k]) for c in inputs)
     return VerificationSummary(family=family, param=float(param_out), samples=samples,
                                seed=seed, tol=tol, max_abs_diff=max_diff,

@@ -15,10 +15,10 @@ violations give +inf.
 
 numpy is imported only by the dense layer and the accessors that return
 arrays, on their first call: validation and the closed forms run without it.
-The dense layer solves the total-M blocks of its operators (see `angular`):
-`quantum_relative_entropy` stacks both arguments' blocks, padded to one
-size, into one eigen-solve each when both are 0 off those blocks, and
-solves the whole matrices otherwise.
+The dense layer solves the total-M blocks of its operators (see `angular`),
+padded to one size and stacked into one eigen-solve per argument, when both
+arguments of `quantum_relative_entropy` are 0 off them, else whole matrices.
+Each call is a fixed number of numpy calls, whose overhead sets its time.
 """
 
 from __future__ import annotations
@@ -236,25 +236,18 @@ def _density_scales(tj1: int, tj2: int) -> np.ndarray:
     return arr
 
 
-def _dense(state: RIState, stack: np.ndarray) -> np.ndarray:
-    """sum_J alpha_J / sqrt(N1 N2 (2J+1)) S_J over the rows of a stack of the state's spins."""
-    return state.alphas() / _density_scales(state.j1.twice_j, state.j2.twice_j) @ stack
-
-
-def _dense_operator(mat: np.ndarray, dims: tuple[int, int]) -> DenseOperator:
-    """DenseOperator(mat, dims) by its frozen __init__'s stores, for a fresh float64 matrix."""
+def to_density(state: RIState) -> DenseOperator:
+    """Dense matrix of an RI state, sum_J alpha_J / sqrt(N1 N2 (2J+1)) P_J: one product with
+    the stack of every P_J, a fresh float64 matrix stored by the frozen __init__'s stores."""
+    import numpy as np
+    tj1, tj2 = state.j1.twice_j, state.j2.twice_j
+    mat = np.divide(state.coeffs.alphas, _density_scales(tj1, tj2)) @ _projector_stacks(tj1, tj2)[0]
+    mat = mat.reshape((tj1 + 1) * (tj2 + 1), -1)
     mat.flags.writeable = False
     self = _new(DenseOperator)
     _store(self, "mat", mat)
-    _store(self, "dims", dims)
+    _store(self, "dims", (tj1 + 1, tj2 + 1))
     return self
-
-
-def to_density(state: RIState) -> DenseOperator:
-    """Dense matrix of an RI state; eigenvalue on block J is alpha_J / sqrt(N1 N2 (2J+1))."""
-    n1, n2 = state.j1.dim, state.j2.dim
-    mat = _dense(state, _projector_stacks(n1 - 1, n2 - 1)[0])
-    return _dense_operator(mat.reshape(n1 * n2, n1 * n2), (n1, n2))
 
 
 def alpha_coords(op: DenseOperator, j1: Spin, j2: Spin) -> np.ndarray:
@@ -268,8 +261,7 @@ def alpha_coords(op: DenseOperator, j1: Spin, j2: Spin) -> np.ndarray:
     tj1, tj2 = j1.twice_j, j2.twice_j
     # P_J is real symmetric, so Re tr(P_J op) = sum_ik P_J[i, k] Re op[i, k]: one
     # O(n_J dim^2) product over the stack of every P_J; sqrt(N1 N2 / (2J+1)) = 1 / w_J
-    traces = _projector_stacks(tj1, tj2)[0] @ op.mat.real.ravel()
-    return traces / _block_weight_array(tj1, tj2)
+    return _projector_stacks(tj1, tj2)[0] @ op.mat.real.ravel() / _block_weight_array(tj1, tj2)
 
 
 def twirl(op: DenseOperator, j1: Spin, j2: Spin) -> RIState:
@@ -277,7 +269,7 @@ def twirl(op: DenseOperator, j1: Spin, j2: Spin) -> RIState:
     tr = op.mat.trace().real
     if abs(tr - 1.0) > NORM_TOL:
         raise ValueError(f"twirl input must have unit trace, got {tr}")
-    return make_ri_state(j1, j2, alpha_coords(op, j1, j2))
+    return make_ri_state(j1, j2, alpha_coords(op, j1, j2).tolist())
 
 
 def _discrete_kl(p, q) -> float:
@@ -305,16 +297,16 @@ SUPPORT_CUT = 1e-12            # eigenvalues at or below this lie outside the su
 SUPPORT_VIOLATION_TOL = 1e-10  # weight of a outside the support of b that makes S(a||b) = +inf
 
 
-def _density_eigh(m: np.ndarray, label: str, vectors: bool = True):
-    """Eigenvalues (clipped at 0) and, if `vectors`, eigenvectors of a checked density's
-    (blocks, k, k) stack of diagonal blocks."""
+def _density_eigh(m: np.ndarray, skew: float, label: str, vectors: bool = True):
+    """Eigenvalues, as a list not clipped at 0 (each use reads them past a cut above 0), and if
+    `vectors` eigenvectors of a density's (blocks, k, k) blocks m, whose max |m - m^H| is `skew`."""
     import numpy as np
-    if np.abs(m - m.conj().swapaxes(1, 2)).max() > HERMITICITY_TOL:
+    if skew > HERMITICITY_TOL:
         raise ValueError(f"{label} is not Hermitian")
     vals, vecs = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     if vals.min() < -HERMITICITY_TOL:
         raise ValueError(f"{label} is not positive semidefinite (min eig {vals.min()})")
-    return np.maximum(vals, 0.0), vecs
+    return vals.ravel().tolist(), vecs
 
 
 def _diagonal_blocks(a: DenseOperator, b: DenseOperator):
@@ -339,19 +331,22 @@ def quantum_relative_entropy(a: DenseOperator, b: DenseOperator) -> float:
 
     Returns +inf when the support of a is not contained in the support of b.
     """
+    import numpy as np
     if a.dim != b.dim:
         raise ValueError("operators must have equal dimension")
     ma, mb = _diagonal_blocks(a, b)
-    va, _ = _density_eigh(ma, "first argument", vectors=False)
-    vb, ub = _density_eigh(mb, "second argument")
+    pair = np.array((ma, mb))  # both Hermiticity checks in one pass
+    skews = np.maximum.reduce(np.abs(pair - pair.conj().swapaxes(2, 3)).reshape(2, -1), axis=1)
+    va, _ = _density_eigh(ma, skews[0], "first argument", vectors=False)
+    vb, ub = _density_eigh(mb, skews[1], "second argument")
 
     # one correctly rounded sum: builtin sum() rounds differently from Python 3.12 on
-    tr_a_ln_a = math.fsum(x * math.log(x) for x in va.ravel().tolist() if x > SUPPORT_CUT)
+    tr_a_ln_a = math.fsum(x * math.log(x) for x in va if x > SUPPORT_CUT)
 
     # <u_i| a |u_i> in the eigenbasis of b: one product per block, then row sums
-    overlaps = ((ub.conj().swapaxes(1, 2) @ ma) * ub.swapaxes(1, 2)).sum(axis=2).real
+    overlaps = np.add.reduce((ub.conj().swapaxes(1, 2) @ ma) * ub.swapaxes(1, 2), axis=2).real
     tr_a_ln_b = 0.0
-    for lam, w in zip(vb.ravel().tolist(), overlaps.ravel().tolist()):
+    for lam, w in zip(vb, overlaps.ravel().tolist()):
         if lam <= SUPPORT_CUT:
             if w > SUPPORT_VIOLATION_TOL:
                 return math.inf

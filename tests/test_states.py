@@ -536,10 +536,30 @@ class TestQuantumRelativeEntropy:
         w[1, 1] = 1.0
         assert quantum_relative_entropy(DenseOperator(v), DenseOperator(w)) == math.inf
 
+    @staticmethod
+    def refusal_cases(bad):
+        """(a, b, argument, path) with the bad matrix of unit trace as either argument,
+        both 2(x)2 with dims (2, 2) and 0 off the total-M blocks, so that they take
+        the blocked path, and both without dims, the whole-matrix path."""
+        good = np.eye(4) / 4
+        for dims, path in (((2, 2), (3, 2, 2)), (None, (1, 4, 4))):
+            ops = DenseOperator(bad, dims=dims), DenseOperator(good, dims=dims)
+            yield ops[0], ops[1], "first", path
+            yield ops[1], ops[0], "second", path
+
     def test_rejects_non_psd(self):
-        bad = np.diag([1.5, -0.5])
-        with pytest.raises(ValueError):
-            quantum_relative_entropy(DenseOperator(bad), DenseOperator(np.eye(2) / 2))
+        """The least eigenvalue, -0.25 in the 1x1 block of M = 1, is in the message."""
+        bad = np.diag([-0.25, 0.5, 0.25, 0.5])
+        for a, b, argument, path in self.refusal_cases(bad):
+            assert states._diagonal_blocks(a, b)[0].shape == path
+            with pytest.raises(ValueError, match=(
+                    rf"^{argument} argument is not positive semidefinite \(min eig -0\.25\)$")):
+                quantum_relative_entropy(a, b)
+        # the first argument's refusals come before the second's
+        skew = np.eye(4) / 4
+        skew[1, 2] = 0.1
+        with pytest.raises(ValueError, match="^first argument is not positive semidefinite"):
+            quantum_relative_entropy(DenseOperator(bad), DenseOperator(skew))
 
     def test_rejects_mismatched_dimensions(self):
         half, third = DenseOperator(np.eye(2) / 2), DenseOperator(np.eye(3) / 3)
@@ -549,9 +569,16 @@ class TestQuantumRelativeEntropy:
             alpha_coords(third, Spin(1), Spin(1))
 
     def test_rejects_non_hermitian(self):
+        """An entry 0.1 without its transpose, inside the block {1, 2} of M = 0."""
+        bad = np.eye(4) / 4
+        bad[1, 2] = 0.1
+        for a, b, argument, path in self.refusal_cases(bad):
+            assert states._diagonal_blocks(a, b)[0].shape == path
+            with pytest.raises(ValueError, match=rf"^{argument} argument is not Hermitian$"):
+                quantum_relative_entropy(a, b)
         m = np.array([[0.5, 1.0], [0.0, 0.5]])
-        with pytest.raises(ValueError):
-            quantum_relative_entropy(DenseOperator(m), DenseOperator(np.eye(2) / 2))
+        with pytest.raises(ValueError, match="^first argument is not Hermitian$"):
+            quantum_relative_entropy(DenseOperator(m), DenseOperator(np.diag([1.5, -0.5])))
 
     def test_unchanged_by_a_complex_unitary(self):
         """Conjugating both arguments by one unitary leaves S(a||b) unchanged;
