@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Per-call times, in µs, of the dense layer and of one-state oracle searches.
+"""Per-call times, in µs, of the closed forms, the dense layer and one-state oracle searches.
 
     python scripts/percall.py [--rounds R] [--calls C] [--against SRC] [--json PATH]
 
 Cases, from fixed seeds:
+  - the closed-form calls: `NormalizedCoords(x, y)`; `raw_to_normalized` and
+    `make_ri_state` of a 3(x)7 state; `ree_2xn` at j = 3/2, separable and
+    entangled; `ree_3xn_odd(7, c)` with c the vertex mean of each region's
+    polygon; `ree_dispatch` on a 2(x)4 and a 3(x)7 alpha-vector;
   - for every spin pair of the benchmark's dense chains (2(x)N for 2j = 1..10,
     3(x)N for N = 3..11): `quantum_relative_entropy` of a seeded entangled state
     and its closed-form minimizer, on the total-M blocks and on the same matrices
@@ -59,7 +63,7 @@ def load(src: str | None, name: str):
         mod = importlib.util.module_from_spec(spec)
         sys.modules[name] = mod
         spec.loader.exec_module(mod)
-    for sub in ("angular", "states", "closed_form", "oracle"):
+    for sub in ("angular", "states", "geometry", "closed_form", "oracle"):
         importlib.import_module(f"{mod.__name__}.{sub}")
     return mod
 
@@ -68,6 +72,23 @@ def cases(mod) -> dict:
     """(function, arguments) of every case, keyed by (table, row, column)."""
     st, cf, orc, Spin = mod.states, mod.closed_form, mod.oracle, mod.angular.Spin
     out = {}
+    closed, j = "closed", Spin(3)
+    centroids = {str(region): st.NormalizedCoords(*map(statistics.fmean, zip(*polygon)))
+                 for region, polygon in mod.geometry.region_polygons(7)}
+    fce = st.normalized_to_raw(7, centroids["POLY_A'FCE"])
+    out[closed, "`NormalizedCoords(x, y)`", "per call"] = (st.NormalizedCoords, (0.2, 0.3))
+    out[closed, "`raw_to_normalized`, 3⊗7", "per call"] = (st.raw_to_normalized, (fce,))
+    for p, kind in ((0.3, "separable"), (0.9, "entangled")):
+        out[closed, f"`ree_2xn(j, {p})`, j = 3/2, {kind}", "per call"] = (cf.ree_2xn, (j, p))
+    for region, c in centroids.items():
+        out[closed, f"`ree_3xn_odd(7, c)`, c in `{region}`", "per call"] = (
+            cf.ree_3xn_odd, (7, c))
+    out[closed, "`ree_dispatch`, 2⊗4 at p = 0.9", "per call"] = (
+        cf.ree_dispatch, (Spin(1), j, cf.state_2xn(j, 0.9).coeffs.alphas))
+    out[closed, "`ree_dispatch`, 3⊗7 in `POLY_A'FCE`", "per call"] = (
+        cf.ree_dispatch, (Spin(2), Spin(6), fce.coeffs.alphas))
+    out[closed, "`make_ri_state`, 3⊗7", "per call"] = (
+        st.make_ri_state, (Spin(2), Spin(6), fce.coeffs.alphas))
     for tj1, tj2 in DENSE_PAIRS:
         j1, j2 = Spin(tj1), Spin(tj2)
         w = np.array(st._block_weights(tj1, tj2))
@@ -122,28 +143,29 @@ def measure(versions: list, rounds: int, calls: int) -> dict:
     return times
 
 
-def cell(series: list) -> str:
+def cell(series: list, digits: int) -> str:
     if len(series) == 1:
-        return f"{statistics.median(series[0]):.1f}"
+        return f"{statistics.median(series[0]):.{digits}f}"
     before, after = series
     wins = sum(a < b for b, a in zip(before, after))
     ratio = statistics.median(a / b for b, a in zip(before, after))
-    return (f"{statistics.median(before):.1f} → {statistics.median(after):.1f} "
+    return (f"{statistics.median(before):.{digits}f} → {statistics.median(after):.{digits}f} "
             f"(×{ratio:.2f}, {wins}/{len(after)})")
 
 
 def tables(times: dict) -> str:
     lines = []
-    for table in ("dense", "search"):
+    for table in ("closed", "dense", "search"):
         keys = [k for k in times if k[0] == table]
         columns = list(dict.fromkeys(k[2] for k in keys))
         rows = list(dict.fromkeys(k[1] for k in keys))
-        first = "system" if table == "dense" else "search"
+        first = {"closed": "call", "dense": "system", "search": "search"}[table]
+        digits = 2 if table == "closed" else 1  # the closed forms take a few µs
         lines += ["", "| " + " | ".join([first] + [f"`{c}`" if c.isidentifier() else c
                                                    for c in columns]) + " |",
                   "|" + "---|" * (len(columns) + 1)]
         for row in rows:
-            lines.append("| " + " | ".join([row] + [cell(times[table, row, c])
+            lines.append("| " + " | ".join([row] + [cell(times[table, row, c], digits)
                                                      for c in columns]) + " |")
     return "\n".join(lines)
 

@@ -158,10 +158,11 @@ def state_2xn(j: Spin, p: float) -> RIState:
 
 def p_of_state(state: RIState) -> float:
     """Weight of the lower block of a 2(x)N state."""
-    if state.j1.twice_j != 1:
+    vec = state.coeffs
+    if vec.j1.twice_j != 1:
         raise ValueError("not a 2(x)N state")
     # a weighted total accepted up to NORM_TOL above 1 may put w_0 alpha_0 above 1
-    return min(_block_weights(1, state.j2.twice_j)[0] * state.coeffs.alphas[0], 1.0)
+    return min(_block_weights(1, vec.j2.twice_j)[0] * vec.alphas[0], 1.0)
 
 
 def _value_2xn(tj: int, p: float) -> float:
@@ -308,10 +309,11 @@ def ree_dispatch(j1: Spin, j2: Spin, alphas) -> REEResult:
 def _by_family(state: RIState, two_by_n, three_by_n):
     """A validated state routed by its spin family: two_by_n(j2, p) of a 2(x)N state,
     three_by_n(N, coords) of a 3(x)N state; the closed forms and the oracle cover no other."""
-    if state.j1.twice_j == 1:
-        return two_by_n(state.j2, p_of_state(state))
-    if state.j1.twice_j == 2:
-        return three_by_n(state.j2.dim, raw_to_normalized(state))
+    vec = state.coeffs
+    if vec.j1.twice_j == 1:
+        return two_by_n(vec.j2, p_of_state(state))
+    if vec.j1.twice_j == 2:
+        return three_by_n(vec.j2.twice_j + 1, raw_to_normalized(state))
     raise UnsupportedFamilyError(
-        f"no closed form for j1 = {state.j1.j}; only j1 in {{1/2, 1}} is supported "
+        f"no closed form for j1 = {vec.j1.j}; only j1 in {{1/2, 1}} is supported "
         "(the oracle-only fallback --force-oracle is likewise restricted)")

@@ -130,8 +130,8 @@ class AlphaVector:
         # no renormalization: a total off by more than NORM_TOL is refused
         object.__setattr__(self, "alphas", _checked_alphas(self.j1, self.j2, self.alphas, 0.0)[0])
 
-    @classmethod
-    def _unchecked(cls, j1: Spin, j2: Spin, alphas: tuple[float, ...]) -> AlphaVector:
+    @staticmethod
+    def _unchecked(j1: Spin, j2: Spin, alphas: tuple[float, ...]) -> AlphaVector:
         """An AlphaVector stored as given, without the checks of __post_init__.
 
         Only for vectors stored by `_checked_alphas` (`make_ri_state`) and for
@@ -139,7 +139,7 @@ class AlphaVector:
         `_alpha_vector_3xn`): j2 >= j1, one finite float >= 0 per block and
         a weighted total within a few ulps of 1, as __post_init__ would store.
         """
-        self = _new(cls)
+        self = _new(AlphaVector)
         _store(self, "j1", j1)  # the stores of the frozen __init__
         _store(self, "j2", j2)
         _store(self, "alphas", alphas)
@@ -156,6 +156,9 @@ class AlphaVector:
     def probabilities(self) -> np.ndarray:
         """Block probabilities w_J * alpha_J (sum to 1)."""
         return self.weights * self.as_array()
+
+
+_alpha_vector = AlphaVector._unchecked  # the builders' name: no class attribute read per call
 
 
 @dataclass(frozen=True)
@@ -177,26 +180,25 @@ class RIState:
         return self.coeffs.as_array()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NormalizedCoords:
     """Barycentric coordinates (alpha-hat_{j-1}, alpha-hat_j) of a 3(x)N state."""
 
     ahat_lo: float
     ahat_mid: float
 
-    def __post_init__(self):
-        lo, mid = float(self.ahat_lo), float(self.ahat_mid)
+    def __init__(self, ahat_lo: float, ahat_mid: float):
+        lo, mid = float(ahat_lo), float(ahat_mid)
         if not (math.isfinite(lo) and math.isfinite(mid)):
             raise ValueError("non-finite coordinates")
         if lo < -NORM_TOL or mid < -NORM_TOL or lo + mid > 1.0 + NORM_TOL:
             raise ValueError(f"coordinates ({lo}, {mid}) outside the unit simplex")
         # points within NORM_TOL outside the simplex are moved onto it
-        lo, mid = max(lo, 0.0), max(mid, 0.0)
-        if lo + mid > 1.0:
-            total = lo + mid
+        lo, mid = 0.0 if lo < 0.0 else lo, 0.0 if mid < 0.0 else mid  # max(x, 0.0), no call
+        if (total := lo + mid) > 1.0:
             lo, mid = lo / total, mid / total
-        object.__setattr__(self, "ahat_lo", lo)
-        object.__setattr__(self, "ahat_mid", mid)
+        _store(self, "ahat_lo", lo)  # one store per field, as a generated frozen __init__ makes
+        _store(self, "ahat_mid", mid)
 
     @property
     def ahat_hi(self) -> float:
@@ -220,7 +222,7 @@ def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
     `_checked_alphas` makes every refusal and that repair.
     """
     alphas, renormalized = _checked_alphas(j1, j2, alphas, RENORM_TOL)
-    return _ri_state(AlphaVector._unchecked(j1, j2, alphas), renormalized)
+    return _ri_state(_alpha_vector(j1, j2, alphas), renormalized)
 
 
 def maximally_mixed(j1: Spin, j2: Spin) -> RIState:
@@ -304,9 +306,10 @@ def _density_eigh(m: np.ndarray, skew: float, label: str, vectors: bool = True):
     if skew > HERMITICITY_TOL:
         raise ValueError(f"{label} is not Hermitian")
     vals, vecs = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-    if vals.min() < -HERMITICITY_TOL:
+    listed = vals.ravel().tolist()
+    if min(listed) < -HERMITICITY_TOL:  # cheaper than vals.min() at these sizes
         raise ValueError(f"{label} is not positive semidefinite (min eig {vals.min()})")
-    return vals.ravel().tolist(), vecs
+    return listed, vecs
 
 
 def _diagonal_blocks(a: DenseOperator, b: DenseOperator):
@@ -335,9 +338,15 @@ def quantum_relative_entropy(a: DenseOperator, b: DenseOperator) -> float:
     if a.dim != b.dim:
         raise ValueError("operators must have equal dimension")
     ma, mb = _diagonal_blocks(a, b)
-    pair = np.array((ma, mb))  # both Hermiticity checks in one pass
-    skews = np.maximum.reduce(np.abs(pair - pair.conj().swapaxes(2, 3)).reshape(2, -1), axis=1)
+    pair = np.array((ma, mb))  # both arguments' checks in one pass each
+    finite = np.isfinite(pair).all()  # refused before any arithmetic on it, which would warn
+    if not (finite or np.isfinite(ma).all()):
+        raise ValueError("first argument has a non-finite entry")
+    pair = pair if finite else pair[:1]  # every check of the first argument comes first
+    skews = np.maximum.reduce(np.abs(pair - pair.conj().swapaxes(2, 3)), axis=(1, 2, 3))
     va, _ = _density_eigh(ma, skews[0], "first argument", vectors=False)
+    if not finite:
+        raise ValueError("second argument has a non-finite entry")
     vb, ub = _density_eigh(mb, skews[1], "second argument")
 
     # one correctly rounded sum: builtin sum() rounds differently from Python 3.12 on
@@ -361,6 +370,8 @@ def _check_n(N, minimum: int = 3) -> int:
     An int or numpy integer >= `minimum` is accepted; anything else is refused.
     A numpy integer exists only once numpy is loaded, so numpy is not imported here.
     """
+    if type(N) is int and N >= minimum:
+        return N
     np = sys.modules.get("numpy")
     if not (isinstance(N, int) or np is not None and isinstance(N, np.integer)) or N < minimum:
         raise ValueError(f"need integer N >= {minimum}, got {N!r}")
@@ -378,12 +389,19 @@ def _prefactors(N: int) -> tuple[float, float, float]:
 
 
 def raw_to_normalized(state: RIState) -> NormalizedCoords:
-    """Barycentric (ahat_lo, ahat_mid) of a 3(x)N state."""
-    if state.j1.twice_j != 2:  # j2 >= j1 holds for every validated state
+    """Barycentric (ahat_lo, ahat_mid) of a 3(x)N state: a validated state's are finite and
+    >= 0, so only a sum above 1 takes the checks of NormalizedCoords; others are just stored."""
+    vec = state.coeffs
+    if vec.j1.twice_j != 2:  # j2 >= j1 holds for every validated state
         raise ValueError("normalized coordinates are defined only for 3(x)N systems (j1 = 1)")
-    pre = _prefactors(state.j2.dim)
-    a = state.coeffs.alphas
-    return NormalizedCoords(a[0] / pre[0], a[1] / pre[1])
+    pre, a = _prefactors(vec.j2.twice_j + 1), vec.alphas
+    lo, mid = a[0] / pre[0], a[1] / pre[1]
+    if lo + mid > 1.0:
+        return NormalizedCoords(lo, mid)
+    self = _new(NormalizedCoords)
+    _store(self, "ahat_lo", lo)
+    _store(self, "ahat_mid", mid)
+    return self
 
 
 _SPIN_HALF, _SPIN_ONE = Spin(1), Spin(2)
@@ -403,7 +421,7 @@ def _alpha_vector_2xn(j: Spin, p: float) -> AlphaVector:
     total is within a few ulps of 1.
     """
     w = _block_weights(1, j.twice_j)
-    return AlphaVector._unchecked(_SPIN_HALF, j, (p / w[0], (1.0 - p) / w[1]))
+    return _alpha_vector(_SPIN_HALF, j, (p / w[0], (1.0 - p) / w[1]))
 
 
 def _alpha_vector_3xn(N: int, lo: float, mid: float, hi: float) -> AlphaVector:
@@ -414,7 +432,7 @@ def _alpha_vector_3xn(N: int, lo: float, mid: float, hi: float) -> AlphaVector:
     within a few ulps of 1.
     """
     p_lo, p_mid, p_hi = _prefactors(N)
-    return AlphaVector._unchecked(_SPIN_ONE, _spin_of_n(N), (p_lo * lo, p_mid * mid, p_hi * hi))
+    return _alpha_vector(_SPIN_ONE, _spin_of_n(N), (p_lo * lo, p_mid * mid, p_hi * hi))
 
 
 def normalized_to_raw(N: int, coords: NormalizedCoords) -> RIState:

@@ -732,28 +732,39 @@ class TestMinimizerBuiltOnce:
                 assert res.minimizer.alphas[2] >= _prefactors(N)[2] * floor
 
     def test_no_coords_check_inside_the_closed_forms(self, monkeypatch):
-        runs = []
-        check = NormalizedCoords.__post_init__
+        from ri_entropy import closed_form
 
-        def counted(self):
-            runs.append(self)
-            check(self)
+        runs = []
+        check, convert = NormalizedCoords.__init__, closed_form.raw_to_normalized
+
+        def counted(self, *args, **kwargs):
+            runs.append("check")
+            check(self, *args, **kwargs)
+
+        def counted_convert(state):
+            before = len(runs)
+            coords = convert(state)
+            del runs[before:]  # its own check, taken only for a sum above 1
+            runs.append("raw_to_normalized")
+            return coords
 
         def runs_of(fn, *args):
             runs.clear()
             fn(*args)
-            return len(runs)
+            return runs[:]
 
         cases = []
         for N in (3, 4, 5, 7, 10**8 + 1, 10**12 + 1):
             points = _centroids(N) + _edge_points(N)
             assert {ree_3xn(N, c).region for c in points} == {r for r, _ in region_polygons(N)}
             cases += [(N, c, normalized_to_raw(N, c).alphas()) for c in points]
-        monkeypatch.setattr(NormalizedCoords, "__post_init__", counted)
+        monkeypatch.setattr(NormalizedCoords, "__init__", counted)
+        monkeypatch.setattr(closed_form, "raw_to_normalized", counted_convert)
+        assert runs_of(NormalizedCoords, 0.2, 0.3) == ["check"]  # the hook is live
         for N, coords, raw in cases:
-            assert runs_of(ree_3xn, N, coords) == 0
+            assert runs_of(ree_3xn, N, coords) == []
             # only the conversion of the input vector
-            assert runs_of(ree_dispatch, Spin(2), Spin(N - 1), raw) == 1
+            assert runs_of(ree_dispatch, Spin(2), Spin(N - 1), raw) == ["raw_to_normalized"]
 
     @pytest.mark.parametrize("N", MINIMIZER_NS)
     def test_aux_point_is_the_minimizer(self, N):

@@ -1,6 +1,8 @@
 """Tests for the RI state family, the twirl, and the KL reductions."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +139,33 @@ class TestMakeRIState:
                     made = build(j1, j2, alphas)
                     vector = getattr(made, "coeffs", made)
                     assert (vector.alphas, getattr(made, "renormalized", False)) == expected
+
+    @pytest.mark.parametrize("j1, j2, alphas, message", [
+        # a NaN total passes the normalization check; then each coefficient in
+        # turn is judged finite, then not below -NEG_CLAMP
+        (Spin(2), Spin(6), (-1.0, math.nan, 0.5), "negative coefficient -1.0"),
+        (Spin(2), Spin(6), (math.nan, -1.0, 0.5), "non-finite coefficient"),
+        (Spin(2), Spin(6), (-1e-9, math.sqrt(3.0), math.nan), "negative coefficient -1e-09"),
+        (Spin(2), Spin(6), (math.inf, -1.0, math.nan), "non-finite coefficient"),
+        (Spin(1), Spin(1), (-1.0, math.nan), "negative coefficient -1.0"),
+        (Spin(1), Spin(1), (math.nan, -1.0), "non-finite coefficient"),
+        # +inf makes the total inf, refused first; -inf is clamped out of the total
+        (Spin(2), Spin(6), (math.inf, 0.0, 0.0), "coefficients not normalized: weighted sum = inf"),
+        (Spin(2), Spin(6), (math.inf, -math.inf, 0.0),
+         "coefficients not normalized: weighted sum = inf"),
+        (Spin(2), Spin(6), (-math.inf, 0.0, 0.0),
+         "coefficients not normalized: weighted sum = 0.0"),
+        (Spin(2), Spin(6), (-math.inf, math.sqrt(3.0), 0.0), "non-finite coefficient"),
+        (Spin(2), Spin(6), (-1.0, math.sqrt(3.0), -math.inf), "negative coefficient -1.0"),
+        (Spin(2), Spin(6), (-math.inf, math.nan, -1.0), "non-finite coefficient"),
+        # the length, then the total, then the spin order, before any coefficient
+        (Spin(2), Spin(6), (math.nan, -1.0),
+         "expected 3 coefficients for (Spin(1), Spin(3)), got 2"),
+        (Spin(2), Spin(1), (math.nan, -1.0), "expected j2 >= j1"),
+    ])
+    def test_messages_of_vectors_with_several_faults(self, j1, j2, alphas, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_ri_state(j1, j2, alphas)
 
     @staticmethod
     def _built(build, j1, j2, alphas):
@@ -580,6 +609,47 @@ class TestQuantumRelativeEntropy:
         with pytest.raises(ValueError, match="^first argument is not Hermitian$"):
             quantum_relative_entropy(DenseOperator(m), DenseOperator(np.diag([1.5, -0.5])))
 
+    @pytest.mark.parametrize("entries", [
+        {(0, 0): math.nan}, {(1, 2): math.nan, (2, 1): math.nan},
+        {(3, 3): math.inf}, {(3, 3): -math.inf}, {(1, 2): math.inf, (2, 1): math.inf}],
+        ids=["nan diagonal", "nan off-diagonal pair", "inf diagonal", "-inf diagonal",
+             "inf off-diagonal pair"])
+    def test_rejects_non_finite(self, entries):
+        """Refused by name, before any arithmetic on it could warn (tier-1 turns numpy
+        RuntimeWarnings into errors); every entry lies inside a total-M block."""
+        bad = np.eye(4) / 4
+        for index, value in entries.items():
+            bad[index] = value
+        for a, b, argument, path in self.refusal_cases(bad):
+            assert states._diagonal_blocks(a, b)[0].shape == path
+            with pytest.raises(ValueError, match=rf"^{argument} argument has a non-finite entry$"):
+                quantum_relative_entropy(a, b)
+
+    def test_rejects_non_finite_whole_operands(self):
+        """All-NaN and NaN-paired 2x2 operands against I/2 gave 0.0, complex ones too."""
+        half = DenseOperator(np.eye(2) / 2)
+        for m in (np.full((2, 2), math.nan), np.array([[0.5, math.nan], [math.nan, 0.5]]),
+                  np.array([[0.5, complex(0.0, math.inf)], [complex(0.0, -math.inf), 0.5]])):
+            with pytest.raises(ValueError, match="^first argument has a non-finite entry$"):
+                quantum_relative_entropy(DenseOperator(m), half)
+            with pytest.raises(ValueError, match="^second argument has a non-finite entry$"):
+                quantum_relative_entropy(half, DenseOperator(m))
+
+    def test_first_argument_refused_before_a_non_finite_second(self):
+        nan = np.eye(4) / 4
+        nan[0, 0] = math.nan
+        skew = np.eye(4) / 4
+        skew[1, 2] = 0.1
+        for dims in ((2, 2), None):
+            def op(m):
+                return DenseOperator(m, dims=dims)
+            for first, message in ((np.diag([-0.25, 0.5, 0.25, 0.5]), "not positive semidefinite"),
+                                   (skew, "not Hermitian")):
+                with pytest.raises(ValueError, match=f"^first argument is {message}"):
+                    quantum_relative_entropy(op(first), op(nan))
+            with pytest.raises(ValueError, match="^first argument has a non-finite entry$"):
+                quantum_relative_entropy(op(nan), op(skew))
+
     def test_unchanged_by_a_complex_unitary(self):
         """Conjugating both arguments by one unitary leaves S(a||b) unchanged;
         the conjugated matrices are complex, so this runs the complex path."""
@@ -682,3 +752,170 @@ class TestNormalizedCoords:
             raw_to_normalized(maximally_mixed(Spin(1), Spin(1)))
         with pytest.raises(ValueError, match=r"^not a 2\(x\)N state$"):
             p_of_state(maximally_mixed(Spin(2), Spin(2)))
+
+
+def _coords_state(N, lo, mid):
+    """A 3(x)N state of the barycentric point (lo, mid) stored as given, unchecked."""
+    pre = states._prefactors(N)
+    vec = AlphaVector._unchecked(Spin(2), Spin(N - 1),
+                                 (pre[0] * lo, pre[1] * mid, pre[2] * (1.0 - lo - mid)))
+    return RIState(vec)
+
+
+def _coords_instances():
+    """(label, NormalizedCoords) made by the constructor, also within NORM_TOL outside
+    the simplex, and by raw_to_normalized, by its stores and through the constructor."""
+    out = [(f"NormalizedCoords({x!r}, {y!r})", NormalizedCoords(x, y))
+           for x, y in ((0.2, 0.3), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.0, 0.5), (1, 0),
+                        (-5e-11, 0.5), (0.25 + 5e-11, 0.75 + 5e-11), (np.float64(0.1), 0.6))]
+    for N in (3, 7, 10**8 + 1):
+        for x, y in ((0.2, 0.3), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+            state = normalized_to_raw(N, NormalizedCoords(x, y))
+            out.append((f"raw_to_normalized {N} ({x}, {y})", raw_to_normalized(state)))
+    over = _coords_state(7, 0.5, 0.5 + 5e-11)  # a sum above 1: through the constructor
+    out.append(("raw_to_normalized, renormalized", raw_to_normalized(over)))
+    return out
+
+
+COORDS_INSTANCES = _coords_instances()
+
+
+ABOVE = math.nextafter(1.0 + NORM_TOL, 2.0)  # the least float sum refused
+
+
+def _hex(coords):
+    return coords.ahat_lo.hex(), coords.ahat_mid.hex()
+
+
+class TestNormalizedCoordsContract:
+    """NormalizedCoords keeps the contract of a frozen dataclass, whether made by its own
+    __init__ or by the stores of raw_to_normalized, and refuses in a fixed order."""
+
+    def test_equals_a_constructed_instance(self):
+        import dataclasses
+        names = ["ahat_lo", "ahat_mid"]
+        for label, obj in COORDS_INSTANCES:
+            assert [f.name for f in dataclasses.fields(obj)] == names, label
+            assert list(vars(obj)) == names, label
+            assert all(type(v) is float for v in vars(obj).values()), label
+            for made in (NormalizedCoords(obj.ahat_lo, obj.ahat_mid),
+                         NormalizedCoords(ahat_mid=obj.ahat_mid, ahat_lo=obj.ahat_lo),
+                         dataclasses.replace(obj)):
+                assert obj == made and made == obj, label
+                assert hash(obj) == hash(made) and repr(obj) == repr(made), label
+                assert _hex(obj) == _hex(made) and list(vars(made)) == names, label
+            moved = dataclasses.replace(obj, ahat_mid=0.0)
+            assert _hex(moved) == _hex(NormalizedCoords(obj.ahat_lo, 0.0)), label
+            assert dataclasses.astuple(obj) == (obj.ahat_lo, obj.ahat_mid), label
+        assert repr(NormalizedCoords(0.2, 0.3)) == "NormalizedCoords(ahat_lo=0.2, ahat_mid=0.3)"
+        assert NormalizedCoords(0.2, 0.3) != NormalizedCoords(0.2, 0.4)
+        assert NormalizedCoords.__match_args__ == ("ahat_lo", "ahat_mid")
+
+    def test_frozen_and_picklable(self):
+        import dataclasses
+        import pickle
+        for label, obj in COORDS_INSTANCES:
+            for name in ("ahat_lo", "ahat_mid"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, 0.5)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(obj, name)
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is NormalizedCoords, label
+            assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj), label
+            assert list(vars(back)) == list(vars(obj)) and _hex(back) == _hex(obj), label
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython object layout")
+    def test_compact_instance_layout(self):
+        """The hand-written __init__ and raw_to_normalized's stores take no more memory
+        per instance than a generated frozen __init__: no materialized __dict__."""
+        import dataclasses
+        import tracemalloc
+
+        @dataclasses.dataclass(frozen=True)
+        class TwoFields:
+            ahat_lo: float
+            ahat_mid: float
+
+        def bytes_each(make, n=2000):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = [make() for _ in range(n)]
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(kept) == n
+            return (after - before) / n
+
+        assert bytes_each(lambda: NormalizedCoords(0.2, 0.3)) <= bytes_each(
+            lambda: TwoFields(0.2, 0.3)) + 4
+        # raw_to_normalized makes two new floats per call, as does its reference
+        state = normalized_to_raw(7, NormalizedCoords(0.2, 0.3))
+        pre, a = states._prefactors(7), state.coeffs.alphas
+        assert bytes_each(lambda: raw_to_normalized(state)) <= bytes_each(
+            lambda: TwoFields(a[0] / pre[0], a[1] / pre[1])) + 4
+
+    @pytest.mark.parametrize("lo, mid, message", [
+        (math.nan, 0.5, "non-finite coordinates"),
+        (0.5, math.nan, "non-finite coordinates"),
+        (math.inf, 0.5, "non-finite coordinates"),
+        (0.5, -math.inf, "non-finite coordinates"),
+        (math.nan, -2e-10, "non-finite coordinates"),  # before the simplex
+        (-math.inf, 2.0, "non-finite coordinates"),
+        (-2e-10, 0.5, "coordinates (-2e-10, 0.5) outside the unit simplex"),
+        (0.5, -2e-10, "coordinates (0.5, -2e-10) outside the unit simplex"),
+        (0.5, 0.5 + 2e-10, "coordinates (0.5, 0.5000000002) outside the unit simplex"),
+        (1.0, ABOVE - 1.0, f"coordinates (1.0, {ABOVE - 1.0}) outside the unit simplex"),
+        (-2e-10, 1.5, "coordinates (-2e-10, 1.5) outside the unit simplex"),
+        (True, "0.5", "coordinates (1.0, 0.5) outside the unit simplex"),  # floated first
+    ])
+    def test_refusals_in_order(self, lo, mid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NormalizedCoords(lo, mid)
+
+    @pytest.mark.parametrize("lo, mid, stored", [
+        (-5e-11, 0.5, (0.0, 0.5)),  # clamped inside NORM_TOL
+        (0.5, -1e-10, (0.5, 0.0)),  # at -NORM_TOL
+        (-0.0, 0.25, (-0.0, 0.25)),  # max(-0.0, 0.0) is -0.0
+        (1.0, 1e-17, (1.0, 1e-17)),  # the sum rounds to 1: no division
+    ])
+    def test_clamped_inside_norm_tol(self, lo, mid, stored):
+        assert _hex(NormalizedCoords(lo, mid)) == tuple(v.hex() for v in stored)
+
+    @pytest.mark.parametrize("lo, mid", [
+        (0.5, 0.5 + 5e-11), (0.25 + 5e-11, 0.75 + 5e-11), (1.0, 1e-10),
+        (1.0, 1e-10 + 2e-26),  # the float sum is 1 + NORM_TOL: accepted
+        (-5e-11, 1.0 + 1.4e-10),  # judged before the clamp: its sum is 1 + 9e-11
+        (1.0 + 5e-11, 0.0)])
+    def test_renormalized_for_a_sum_just_above_one(self, lo, mid):
+        x, y = (0.0 if lo < 0.0 else lo), (0.0 if mid < 0.0 else mid)
+        assert 1.0 < x + y and lo + mid <= 1.0 + NORM_TOL
+        c = NormalizedCoords(lo, mid)
+        assert _hex(c) == ((x / (x + y)).hex(), (y / (x + y)).hex())
+        assert c.ahat_lo + c.ahat_mid <= 1.0 + 2.0 ** -52 and c.ahat_hi >= 0.0
+
+    def test_raw_to_normalized_is_the_constructor_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        cases = [(N, *rng.dirichlet(np.ones(3))[:2]) for N in (3, 4, 7, 101, 10**8 + 1)
+                 for _ in range(40)]
+        cases += [(7, 0.5, 0.5 + 5e-11), (7, 1.0, 0.0), (7, 0.0, 1.0), (5, 0.0, 0.0),
+                  (9, 0.3, 0.7), (9, 1.0 + 5e-11, 0.0)]
+        by_stores = 0
+        for N, x, y in cases:
+            state = _coords_state(N, float(x), float(y))
+            pre, a = states._prefactors(N), state.coeffs.alphas
+            lo, mid = a[0] / pre[0], a[1] / pre[1]
+            by_stores += lo + mid <= 1.0
+            assert _hex(raw_to_normalized(state)) == _hex(NormalizedCoords(lo, mid)), (N, x, y)
+        assert 0 < by_stores < len(cases)
+        # a validated -0.0 coefficient keeps its sign, as the constructor's clamp does
+        zero = make_ri_state(Spin(2), Spin(6), (-0.0, math.sqrt(3.0), 0.0))
+        assert raw_to_normalized(zero).ahat_lo.hex() == (-0.0).hex()
+
+    def test_raw_to_normalized_refuses_through_the_constructor(self):
+        outside = r"^coordinates \(0\.6, 0\.6\) outside the unit simplex$"
+        with pytest.raises(ValueError, match=outside):
+            raw_to_normalized(_coords_state(7, 0.6, 0.6))
+        with pytest.raises(ValueError, match=r"^normalized coordinates are defined only for 3"):
+            raw_to_normalized(maximally_mixed(Spin(1), Spin(2)))
