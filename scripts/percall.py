@@ -6,8 +6,10 @@
 Cases, from fixed seeds:
   - the closed-form calls: `NormalizedCoords(x, y)`; `raw_to_normalized` and
     `make_ri_state` of a 3(x)7 state; `ree_2xn` at j = 3/2, separable and
-    entangled; `ree_3xn_odd(7, c)` with c the vertex mean of each region's
-    polygon; `ree_dispatch` on a 2(x)4 and a 3(x)7 alpha-vector;
+    entangled; `ree_3xn_odd(N, c)` at N = 7 and 10^8+1, with c the vertex mean
+    of each region's polygon, and `e_gamma_3xn_even(10^8+2, c)` in `TRI_A'DH`,
+    where the constants in N round; `ree_dispatch` on a 2(x)4 and a 3(x)7
+    alpha-vector;
   - for every spin pair of the benchmark's dense chains (2(x)N for 2j = 1..10,
     3(x)N for N = 3..11): `quantum_relative_entropy` of a seeded entangled state
     and its closed-form minimizer, on the total-M blocks and on the same matrices
@@ -73,16 +75,22 @@ def cases(mod) -> dict:
     st, cf, orc, Spin = mod.states, mod.closed_form, mod.oracle, mod.angular.Spin
     out = {}
     closed, j = "closed", Spin(3)
-    centroids = {str(region): st.NormalizedCoords(*map(statistics.fmean, zip(*polygon)))
-                 for region, polygon in mod.geometry.region_polygons(7)}
-    fce = st.normalized_to_raw(7, centroids["POLY_A'FCE"])
+
+    def centroids(N):
+        return {str(region): st.NormalizedCoords(*map(statistics.fmean, zip(*polygon)))
+                for region, polygon in mod.geometry.region_polygons(N)}
+
+    fce = st.normalized_to_raw(7, centroids(7)["POLY_A'FCE"])
     out[closed, "`NormalizedCoords(x, y)`", "per call"] = (st.NormalizedCoords, (0.2, 0.3))
     out[closed, "`raw_to_normalized`, 3⊗7", "per call"] = (st.raw_to_normalized, (fce,))
     for p, kind in ((0.3, "separable"), (0.9, "entangled")):
         out[closed, f"`ree_2xn(j, {p})`, j = 3/2, {kind}", "per call"] = (cf.ree_2xn, (j, p))
-    for region, c in centroids.items():
-        out[closed, f"`ree_3xn_odd(7, c)`, c in `{region}`", "per call"] = (
-            cf.ree_3xn_odd, (7, c))
+    for N, label in ((7, "7"), (10**8 + 1, "10⁸+1")):
+        for region, c in centroids(N).items():
+            out[closed, f"`ree_3xn_odd({label}, c)`, c in `{region}`", "per call"] = (
+                cf.ree_3xn_odd, (N, c))
+    out[closed, "`e_gamma_3xn_even(10⁸+2, c)`, c in `TRI_A'DH`", "per call"] = (
+        cf.e_gamma_3xn_even, (10**8 + 2, centroids(10**8 + 2)["TRI_A'DH"]))
     out[closed, "`ree_dispatch`, 2⊗4 at p = 0.9", "per call"] = (
         cf.ree_dispatch, (Spin(1), j, cf.state_2xn(j, 0.9).coeffs.alphas))
     out[closed, "`ree_dispatch`, 3⊗7 in `POLY_A'FCE`", "per call"] = (

@@ -56,7 +56,7 @@ class Spin:
         """Spin of j, a number or text such as '3/2' or '1.5'; j must be a half-integer."""
         try:
             tj = Fraction(j) * 2
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:  # inf: OverflowError
             raise ValueError(f"cannot parse spin {j!r}") from exc
         if tj.denominator != 1:
             raise ValueError(f"spin {j!r} is not an exact half-integer")

@@ -40,14 +40,16 @@ from .geometry import (
     Point2,
     Region,
     _classify_region,
-    _normalized_chart,
+    _per_n,
+    _PerN,
 )
 from .states import (
+    _SPIN_ONE,
     AlphaVector,
     NormalizedCoords,
     RIState,
+    _alpha_vector,
     _alpha_vector_2xn,
-    _alpha_vector_3xn,
     _block_weights,
     _check_n,
     _discrete_kl,
@@ -203,8 +205,9 @@ def _segment_root(c0: Point2, c1: Point2, s: float):
     return ((1.0 - s) * c0.x + s * c1.x, (1.0 - s) * c0.y + s * c1.y)
 
 
-def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
-    """Closed form for a state evaluated under the formula of `region`.
+def _value_in_region(k: _PerN, coords: NormalizedCoords, region: Region):
+    """Closed form for a state evaluated under the formula of `region`, from the
+    `_PerN` k of N.
 
     Returns (value, sigma, root): sigma = (sigma_x, sigma_y, sigma_z), the
     minimizing barycentric point, has sigma_x, sigma_y >= 0 and
@@ -216,7 +219,6 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
     x, y = coords.ahat_lo, coords.ahat_mid
     if region is _SEPARABLE:
         return 0.0, (x, y, coords.ahat_hi), None
-    ch = _normalized_chart(N)  # N already checked by the caller
     root = None
 
     if region is _TRI_APRIME_CE:
@@ -227,56 +229,59 @@ def _value_in_region(N: int, coords: NormalizedCoords, region: Region):
         sigma = (1.0 / 3.0, 2.0 * y / (3.0 * (1.0 - x)) if x < 1.0 else 0.0)
     elif region is _POLY_APRIME_HBF or region is _TRI_APRIME_BC:
         # the whole region shares the minimizer A'
-        sigma = (ch.a_prime.x, ch.a_prime.y)
+        sigma = k.a_prime
     elif region is _POLY_APRIME_FCE:
         # minimizer on EA' at s = (N-1) a / (N-3), a the smaller root of
         # (N-1)^2 a^2 + t1 a + N(N-3) x = 0 (t1 < 0); disc is taken from the same
         # quadratic in 1 - s, whose constant c0 <= 0 is the A'-F form: no cancellation
-        t1 = (N + 1) * y - N * (N - 3) * x - (N - 1) ** 2
-        c1 = -t1 - 2 * (N - 1) * (N - 3)
-        c0 = 2 * N * x + (N + 1) * y - 2 * (N - 1)
-        disc = c1 * c1 - 4.0 * (N - 1) * (N - 3) * c0
-        a = 2.0 * N * (N - 3) * x / (-t1 + math.sqrt(max(disc, 0.0)))
-        s = min(max((N - 1) * a / (N - 3), 0.0), 1.0)
-        sigma = _segment_root(ch.e, ch.a_prime, s)
+        n1, nn3, n1sq, c1k, n2, c0k, q4, r2, nm1, nm3 = k.fce
+        t1 = n1 * y - nn3 * x - n1sq               # (N+1) y - N(N-3) x - (N-1)^2
+        c1 = -t1 - c1k                             # -t1 - 2(N-1)(N-3)
+        c0 = n2 * x + n1 * y - c0k                 # 2N x + (N+1) y - 2(N-1)
+        disc = c1 * c1 - q4 * c0                   # c1^2 - 4(N-1)(N-3) c0
+        a = r2 * x / (-t1 + math.sqrt(max(disc, 0.0)))  # 2N(N-3) x / (-t1 + sqrt disc)
+        s = min(max(nm1 * a / nm3, 0.0), 1.0)
+        sigma = _segment_root(k.e, k.a_prime, s)
         root = ("a", a, t1)
     elif region is _TRI_APRIME_DH:
         # minimizer on the edge DA' at s = u / ((N+3)(N-1)(N-3)), where
         # u = 2N(N^2-5) b - K, K = (N+3)(N-1)^2, for the larger root b of
         # 2N(N^2-5) b^2 - t2 b + K x = 0; u solves u^2 + beta u - gamma = 0
         # with gamma >= 0 and is taken in the form that does not cancel
-        K = (N + 3) * (N - 1) ** 2
-        M = 2.0 * N * (N * N - 5)
-        Py = (N + 1) ** 2 * (N - 3) * y
+        K, M, p3, den = k.dh
+        Py = p3 * y                                # (N+1)^2 (N-3) y
         t2 = K + M * x + Py
         beta = K - M * x - Py
         gamma = K * Py
         sq = math.sqrt(beta * beta + 4.0 * gamma)
         u = 2.0 * gamma / (beta + sq) if beta > 0.0 else (sq - beta) / 2.0
-        s = min(max(u / ((N + 3) * (N - 1) * (N - 3)), 0.0), 1.0)
-        sigma = _segment_root(ch.d, ch.a_prime, s)
+        s = min(max(u / den, 0.0), 1.0)
+        sigma = _segment_root(k.d, k.a_prime, s)
         root = ("b", (u + K) / M, t2)
     else:  # pragma: no cover
-        raise ValueError(f"region {region} is not defined for N = {N}")
+        raise ValueError(f"region {region} is not defined for N = {k.n}")
     # sigma is on the PPT polygon, where the third coordinate is at least that
     # of A', 2/(N(N+1)); near A' at large N, 1 - x - y rounds below it
-    sigma = (*sigma, max(1.0 - sigma[0] - sigma[1], 2.0 / N / (N + 1)))
+    sigma = (*sigma, max(1.0 - sigma[0] - sigma[1], k.floor))
     return _discrete_kl((x, y, coords.ahat_hi), sigma), sigma, root
 
 
 def _value_3xn(N: int, coords: NormalizedCoords) -> float:
     """E_r (odd N) or E_Gamma (even N) of a checked int N: the value alone,
     without a minimizer; the value of `_ree_3xn`."""
-    return _value_in_region(N, coords, _classify_region(N, coords))[0]
+    k = _per_n(N)
+    return _value_in_region(k, coords, _classify_region(k, coords))[0]
 
 
 def _ree_3xn(N: int, coords: NormalizedCoords) -> REEResult:
     """E_r (odd N) or E_Gamma (even N) of a checked int N; sigma needs no second check."""
-    region = _classify_region(N, coords)
-    value, sigma, root = _value_in_region(N, coords, region)
-    minimizer = _alpha_vector_3xn(N, *sigma)
+    k = _per_n(N)
+    region = _classify_region(k, coords)
+    value, (lo, mid, hi), root = _value_in_region(k, coords, region)
+    p_lo, p_mid, p_hi = k.prefactors  # the minimizer as `_alpha_vector_3xn` builds it
+    minimizer = _alpha_vector(_SPIN_ONE, k.spin, (p_lo * lo, p_mid * mid, p_hi * hi))
     aux = None if root is None else _root_info(*root, _tuple_new(Point2, minimizer.alphas[:2]))
-    return _ree_result(value, region, minimizer, "E_Gamma" if N % 2 == 0 else "E_r", aux)
+    return _ree_result(value, region, minimizer, k.quantity, aux)
 
 
 def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:

@@ -17,7 +17,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .states import NormalizedCoords, _check_n, _prefactors
+from .angular import Spin
+from .states import NormalizedCoords, _check_n, _prefactors, _spin_of_n
 
 __all__ = [
     "Point2",
@@ -185,17 +186,48 @@ def region_polygons(N: int):
 _ROUNDING = 16 * 2.0 ** -53
 
 
-@lru_cache(maxsize=256)
-def _lines(N: int):
-    """D-A', A'-E, A'-F, A'-H (at N = 3: A'-C, A'-B) as forms a x + b y = c.
+class _PerN(NamedTuple):
+    """Everything the 3(x)N closed forms read at N, built once per N by `_per_n`.
 
-    Each is (ints, floats) of the checked int N, whose N^3 cannot overflow.
+    The A'FCE and A'DH constants are the floats their expressions in N convert
+    to, so the closed forms give the same bits; K stays an int, so that its
+    conversion to float, which can overflow, happens inside the A'DH branch only.
     """
-    return tuple((line, tuple(map(float, line))) for line in (
-        (4 * N, -(N - 3) * (N + 1), 2 * (N - 1)),
-        (N * (N - 3), (N - 2) * (N + 1), (N - 2) * (N - 1)),
-        (2 * N, N + 1, 2 * (N - 1)),
-        (N * (N * N - 5), (N - 2) * (N + 1) ** 2, (N + 3) * (N - 1) * (N - 2))))
+
+    n: int
+    lines: tuple        # D-A', A'-E, A'-F, A'-H (N = 3: A'-C, A'-B) as int forms (a, b, c)
+    approx: tuple       # their twelve coefficients as floats, in the same order
+    above_3: bool       # N > 3: the regions of N >= 4, not those of N = 3
+    d: Point2
+    e: Point2
+    a_prime: Point2
+    fce: tuple          # N+1, N(N-3), (N-1)^2, 2(N-1)(N-3), 2N, 2(N-1), 4.0(N-1)(N-3),
+                        # 2.0 N(N-3), N-1, N-3
+    dh: tuple           # K = (N+3)(N-1)^2, 2.0 N(N^2-5), (N+1)^2 (N-3), (N+3)(N-1)(N-3)
+    floor: float        # 2/N/(N+1), the third coordinate of A'
+    prefactors: tuple   # `states._prefactors(N)`
+    spin: Spin          # Spin(N - 1), the second spin
+    quantity: str       # "E_r" (odd N) or "E_Gamma" (even N)
+
+
+@lru_cache(maxsize=256)
+def _per_n(N: int) -> _PerN:
+    """The `_PerN` of a checked int N.  Its line forms are converted first, so
+    that above about 5.64e102, where N^3 passes the float range, the build
+    raises their OverflowError and no other."""
+    lines = ((4 * N, -(N - 3) * (N + 1), 2 * (N - 1)),
+             (N * (N - 3), (N - 2) * (N + 1), (N - 2) * (N - 1)),
+             (2 * N, N + 1, 2 * (N - 1)),
+             (N * (N * N - 5), (N - 2) * (N + 1) ** 2, (N + 3) * (N - 1) * (N - 2)))
+    approx = tuple(float(v) for line in lines for v in line)
+    ch = _normalized_chart(N)
+    fce = (float(N + 1), float(N * (N - 3)), float((N - 1) ** 2), float(2 * (N - 1) * (N - 3)),
+           float(2 * N), float(2 * (N - 1)), 4.0 * (N - 1) * (N - 3), 2.0 * N * (N - 3),
+           float(N - 1), float(N - 3))
+    dh = ((N + 3) * (N - 1) ** 2, 2.0 * N * (N * N - 5), float((N + 1) ** 2 * (N - 3)),
+          float((N + 3) * (N - 1) * (N - 3)))
+    return _PerN(N, lines, approx, N > 3, ch.d, ch.e, ch.a_prime, fce, dh, 2.0 / N / (N + 1),
+                 _prefactors(N), _spin_of_n(N), "E_Gamma" if N % 2 == 0 else "E_r")
 
 
 def _exact_side(line, x: float, y: float) -> int:
@@ -209,33 +241,33 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     """Region of the chart containing the state, decided exactly.
 
     Each region is the part of the simplex in a cone at A' between two lines
-    of `_lines`.  Boundary points go to the first region of the priority
+    of `_PerN.lines`.  Boundary points go to the first region of the priority
     SEPARABLE > A'FCE > A'HBF > A'DH (N = 3: SEPARABLE > A'CE > A'BD > A'BC),
     a value-neutral choice as the closed forms are continuous.  The simplex
     edges are not tested: a float point just past x + y = 1 falls beyond BC.
     """
-    return _classify_region(_check_n(N), coords)
+    return _classify_region(_per_n(_check_n(N)), coords)
 
 
-def _classify_region(N: int, coords: NormalizedCoords) -> Region:
-    """`classify_region` of an N that `_check_n` has already returned."""
+def _classify_region(k: _PerN, coords: NormalizedCoords) -> Region:
+    """`classify_region` from the `_PerN` of N."""
     x, y = coords.ahat_lo, coords.ahat_mid
-    (d, (ad, bd, cd)), (e, (ae, be, ce)), (f, (af, bf, cf)), (h, (ah, bh, ch)) = _lines(N)
+    ad, bd, cd, ae, be, ce, af, bf, cf, ah, bh, ch = k.approx
     # each form is > 0 on B's side of its line (on C's side for A'-E, and for
     # A'-H at N = 3); x, y >= 0 and every coefficient but bd is >= 0
     if abs(sd := ad * x + bd * y - cd) <= _ROUNDING * (ad * x - bd * y + cd):
-        sd = _exact_side(d, x, y)
+        sd = _exact_side(k.lines[0], x, y)
     if abs(se := ae * x + be * y - ce) <= _ROUNDING * (ae * x + be * y + ce):
-        se = _exact_side(e, x, y)
+        se = _exact_side(k.lines[1], x, y)
     if sd <= 0 and se <= 0:
         return _SEPARABLE
     if abs(sf := af * x + bf * y - cf) <= _ROUNDING * (af * x + bf * y + cf):
-        sf = _exact_side(f, x, y)
+        sf = _exact_side(k.lines[2], x, y)
     if sf <= 0 <= se:
-        return _POLY_APRIME_FCE if N > 3 else _TRI_APRIME_CE
+        return _POLY_APRIME_FCE if k.above_3 else _TRI_APRIME_CE
     if abs(sh := ah * x + bh * y - ch) <= _ROUNDING * (ah * x + bh * y + ch):
-        sh = _exact_side(h, x, y)
-    if N > 3:
+        sh = _exact_side(k.lines[3], x, y)
+    if k.above_3:
         return _POLY_APRIME_HBF if sh >= 0 and sf >= 0 else _TRI_APRIME_DH
     return _TRI_APRIME_BD if sd >= 0 >= sh else _TRI_APRIME_BC
 

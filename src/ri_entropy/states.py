@@ -136,8 +136,9 @@ class AlphaVector:
 
         Only for vectors stored by `_checked_alphas` (`make_ri_state`) and for
         builders whose checked inputs make them valid (`_alpha_vector_2xn`,
-        `_alpha_vector_3xn`): j2 >= j1, one finite float >= 0 per block and
-        a weighted total within a few ulps of 1, as __post_init__ would store.
+        `_alpha_vector_3xn`, `closed_form._ree_3xn`): j2 >= j1, one finite
+        float >= 0 per block and a weighted total within a few ulps of 1, as
+        __post_init__ would store.
         """
         self = _new(AlphaVector)
         _store(self, "j1", j1)  # the stores of the frozen __init__

@@ -55,6 +55,11 @@ class TestSpin:
         with pytest.raises(ValueError):
             Spin.of(0.3)
 
+    @pytest.mark.parametrize("j", [math.inf, -math.inf, math.nan])
+    def test_of_refuses_non_finite_floats_as_unparsable(self, j):
+        with pytest.raises(ValueError, match=rf"^cannot parse spin {j!r}$"):
+            Spin.of(j)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Spin(-1)

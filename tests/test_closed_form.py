@@ -36,7 +36,7 @@ from ri_entropy.closed_form import (
     separability_threshold,
     state_2xn,
 )
-from ri_entropy.geometry import classify_region, normalized_chart, region_polygons
+from ri_entropy.geometry import _per_n, classify_region, normalized_chart, region_polygons
 from ri_entropy.oracle import minimize_kl_over_interval, minimize_kl_over_polygon
 from ri_entropy.states import (
     AlphaVector,
@@ -368,8 +368,8 @@ class TestInvariants:
             for s in np.linspace(0.0, 1.0, 100):
                 coords = NormalizedCoords((1 - s) * p0.x + s * p1.x,
                                           (1 - s) * p0.y + s * p1.y)
-                va = _value_in_region(N, coords, r_left)[0]
-                vb = _value_in_region(N, coords, r_right)[0]
+                va = _value_in_region(_per_n(N), coords, r_left)[0]
+                vb = _value_in_region(_per_n(N), coords, r_right)[0]
                 worst = max(worst, abs(va - vb))
             assert worst <= 1e-8, (r_left, r_right, worst)
 
@@ -572,6 +572,76 @@ class TestGoldenValues:
         assert (len(records), digest) == (GOLDEN_COUNT, GOLDEN_SHA256)
 
 
+# the largest N whose line coefficients, up to N^3, still convert to float:
+# the closed forms classify it and raise OverflowError from the next N on
+LAST_FLOAT_N = int("56438030941223620779397070698960837078274382831445852243110142757834"
+                   "12180059929638814564872415160725735")
+LARGE_NS = (10**6 + 1, 10**8 + 1, 10**8 + 2, 2**53 + 1, 10**12 + 1, 10**20 + 1,
+            LAST_FLOAT_N, LAST_FLOAT_N + 1)
+
+
+def _large_n_records():
+    """repr of (value, region, quantity, 2 j2, minimizer alphas, aux) of the 3(x)N closed
+    forms at large N, or of the refusal's type and message.
+
+    N-polynomials round when converted to float only beyond N = 10^4+1, the
+    largest N of GOLDEN_SHA256.  Per N: the vertex mean of each region polygon,
+    four seeded points in each region and `_edge_points`, through the family
+    function, then the first twelve points through `ree_dispatch`; each N
+    below 2^63 again as a numpy integer.
+    """
+    rnd = random.Random(20261020)
+    records = []
+
+    def record(fn, *args):
+        try:
+            res = fn(*args)
+        except (ValueError, ArithmeticError) as exc:
+            records.append(repr((type(exc).__name__, str(exc))))
+        else:
+            records.append(repr((res.value, str(res.region), res.quantity,
+                                 res.minimizer.j2.twice_j, res.minimizer.alphas, res.aux)))
+
+    for N in LARGE_NS:
+        points = []
+        for _, poly in region_polygons(N):
+            points.append(NormalizedCoords(_sum_in_order(v.x for v in poly) / len(poly),
+                                           _sum_in_order(v.y for v in poly) / len(poly)))
+            for _ in range(4):
+                cuts = sorted(rnd.random() for _ in range(len(poly) - 1))
+                ws = [b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])]
+                points.append(NormalizedCoords(_sum_in_order(w * v.x for w, v in zip(ws, poly)),
+                                               _sum_in_order(w * v.y for w, v in zip(ws, poly))))
+        points += _edge_points(N)
+        for n in (N, np.int64(N)) if N < 2**63 else (N,):
+            for coords in points:
+                record(ree_3xn, n, coords)
+        for coords in points[:12]:
+            record(ree_dispatch, Spin(2), Spin(N - 1), normalized_to_raw(N, coords).coeffs.alphas)
+    return records
+
+
+# as GOLDEN_SHA256: a change to these is a change of closed-form output and must be deliberate
+LARGE_N_COUNT = 1401
+LARGE_N_SHA256 = "0229d92b40b683954195215b7ffcb2303d079a4c22575156c199ccd43f1dbcb6"
+
+
+class TestLargeNGolden:
+    """The 3(x)N closed forms at N where their float constants round, pinned bit for bit."""
+
+    def test_outputs_are_bit_identical(self):
+        records = _large_n_records()
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert (len(records), digest) == (LARGE_N_COUNT, LARGE_N_SHA256)
+
+    def test_the_last_float_n_classifies_and_the_next_overflows(self):
+        coords = NormalizedCoords(0.2, 0.3)
+        assert ree_3xn_odd(LAST_FLOAT_N, coords).region is Region.SEPARABLE
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            e_gamma_3xn_even(LAST_FLOAT_N + 1, coords)
+        assert normalized_chart(LAST_FLOAT_N + 1).a_prime == (1.0, 2 / (LAST_FLOAT_N + 2))
+
+
 def _bits(alphas):
     assert all(type(a) is float for a in alphas)
     return tuple(a.hex() for a in alphas)
@@ -639,8 +709,9 @@ class TestValidByConstruction:
             pre = (math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2)))
             points = _edge_points(N) + golden.get(N, [])
             # each point, and the minimizer the closed form builds for it
-            minimizers = [NormalizedCoords(*_value_in_region(N, c, classify_region(N, c))[1][:2])
-                          for c in points]
+            minimizers = [
+                NormalizedCoords(*_value_in_region(_per_n(N), c, classify_region(N, c))[1][:2])
+                for c in points]
             for coords in points + minimizers:
                 built = normalized_to_raw(N, coords)
                 raw = tuple(p * c for p, c in zip(
@@ -715,7 +786,7 @@ class TestMinimizerBuiltOnce:
         floor = 2.0 / N / (N + 1)  # the third coordinate of A'
         for coords in _edge_points(N) + _near_a_prime(N):
             region = classify_region(N, coords)
-            value, (sx, sy, sz), _ = _value_in_region(N, coords, region)
+            value, (sx, sy, sz), _ = _value_in_region(_per_n(N), coords, region)
             assert sx >= 0.0 and sy >= 0.0 and sx + sy <= 1.0
             res = ree_3xn(N, coords)
             rewrapped = normalized_to_raw(N, NormalizedCoords(sx, sy)).coeffs

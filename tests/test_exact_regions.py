@@ -178,8 +178,10 @@ def test_tiny_coordinates_give_finite_values(N, x, y, want):
 @pytest.mark.parametrize("N", [3, 4, 5, 7, 10, 101, 10**8 + 1, 10**12 + 1, 10**30 + 1])
 def test_line_forms_vanish_at_their_landmarks(N):
     c = chart(N)
-    lines = geometry._lines(N)
-    for (exact, approx), ends in zip(lines, (("D", "A'"), ("A'", "E"), ("A'", "F"), ("A'", "H"))):
+    k = geometry._per_n(N)
+    approxes = [k.approx[i:i + 3] for i in range(0, 12, 3)]
+    for exact, approx, ends in zip(k.lines, approxes,
+                                   (("D", "A'"), ("A'", "E"), ("A'", "F"), ("A'", "H"))):
         a, b, k = exact
         assert all(type(v) is int for v in exact)
         for name in ends:

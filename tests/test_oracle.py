@@ -455,6 +455,8 @@ class TestVerifyClosedForm:
         ("3xN-odd", 4, "family 3xN-odd needs odd N >= 5"),
         ("3xN-even", 5, "family 3xN-even needs even N >= 4"),
         ("4xN", 4, "unknown family '4xN'"),
+        ("2xN", math.inf, "cannot parse spin inf"),
+        ("2xN", -math.inf, "cannot parse spin -inf"),
     ])
     def test_refusal_messages(self, family, param, message):
         with pytest.raises(ValueError) as info:
