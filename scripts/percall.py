@@ -8,8 +8,9 @@ Cases, from fixed seeds:
     `make_ri_state` of a 3(x)7 state; `ree_2xn` at j = 3/2, separable and
     entangled; `ree_3xn_odd(N, c)` at N = 7 and 10^8+1, with c the vertex mean
     of each region's polygon, and `e_gamma_3xn_even(10^8+2, c)` in `TRI_A'DH`,
-    where the constants in N round; `ree_dispatch` on a 2(x)4 and a 3(x)7
-    alpha-vector;
+    where the constants in N round; `ree_dispatch` on a separable 2(x)2, an
+    entangled 2(x)4 and a 3(x)7 alpha-vector, and on a 3(x)(10^8+1) alpha-vector
+    at the vertex mean of each region;
   - for every spin pair of the benchmark's dense chains (2(x)N for 2j = 1..10,
     3(x)N for N = 3..11): `quantum_relative_entropy` of a seeded entangled state
     and its closed-form minimizer, on the total-M blocks and on the same matrices
@@ -91,10 +92,16 @@ def cases(mod) -> dict:
                 cf.ree_3xn_odd, (N, c))
     out[closed, "`e_gamma_3xn_even(10⁸+2, c)`, c in `TRI_A'DH`", "per call"] = (
         cf.e_gamma_3xn_even, (10**8 + 2, centroids(10**8 + 2)["TRI_A'DH"]))
+    out[closed, "`ree_dispatch`, 2⊗2 at p = 0.3", "per call"] = (
+        cf.ree_dispatch, (Spin(1), Spin(1), cf.state_2xn(Spin(1), 0.3).coeffs.alphas))
     out[closed, "`ree_dispatch`, 2⊗4 at p = 0.9", "per call"] = (
         cf.ree_dispatch, (Spin(1), j, cf.state_2xn(j, 0.9).coeffs.alphas))
     out[closed, "`ree_dispatch`, 3⊗7 in `POLY_A'FCE`", "per call"] = (
         cf.ree_dispatch, (Spin(2), Spin(6), fce.coeffs.alphas))
+    for region, c in centroids(10**8 + 1).items():
+        raw = st.normalized_to_raw(10**8 + 1, c).coeffs.alphas
+        out[closed, f"`ree_dispatch`, 3⊗(10⁸+1) in `{region}`", "per call"] = (
+            cf.ree_dispatch, (Spin(2), Spin(10**8), raw))
     out[closed, "`make_ri_state`, 3⊗7", "per call"] = (
         st.make_ri_state, (Spin(2), Spin(6), fce.coeffs.alphas))
     for tj1, tj2 in DENSE_PAIRS:

@@ -40,7 +40,7 @@ from .geometry import (
     ppt_polygon,
     simplex_vertices,
 )
-from .states import NormalizedCoords, _check_n, make_ri_state
+from .states import NormalizedCoords, _check_n, _checked_alphas
 
 SCHEMA_VERSION = "ri-entropy/1"
 
@@ -133,9 +133,9 @@ def cmd_ree(args) -> int:
             raise ValueError("--p applies to the 2(x)N family (j1 = 1/2) only")
         family, point = 0, (j2, _checked_2xn(j2, args.p))
     elif args.alpha is not None:
-        state = make_ri_state(j1, j2,
-                              _floats(args.alpha, len(coupling_range(j1, j2)), "--alpha"))
-        family, point = _by_family(state, lambda *a: (0, a), lambda *a: (1, a))
+        alphas = _floats(args.alpha, len(coupling_range(j1, j2)), "--alpha")
+        family, point = _by_family(j1, j2, _checked_alphas(j1, j2, alphas)[0],
+                                   lambda *a: (0, a), lambda *a: (1, a))
     else:
         if j1.twice_j != 2:
             raise ValueError("--normalized applies to 3(x)N systems (j1 = 1) only")

@@ -52,12 +52,12 @@ from .states import (
     _alpha_vector_2xn,
     _block_weights,
     _check_n,
+    _checked_alphas,
+    _coords_of_alphas,
     _discrete_kl,
     _new,
     _ri_state,
     _store,
-    make_ri_state,
-    raw_to_normalized,
 )
 
 __all__ = [
@@ -159,12 +159,15 @@ def state_2xn(j: Spin, p: float) -> RIState:
 
 
 def p_of_state(state: RIState) -> float:
-    """Weight of the lower block of a 2(x)N state."""
-    vec = state.coeffs
-    if vec.j1.twice_j != 1:
+    """Weight of the lower block of a 2(x)N state (`_p_of_alphas`)."""
+    if state.coeffs.j1.twice_j != 1:
         raise ValueError("not a 2(x)N state")
-    # a weighted total accepted up to NORM_TOL above 1 may put w_0 alpha_0 above 1
-    return min(_block_weights(1, vec.j2.twice_j)[0] * vec.alphas[0], 1.0)
+    return _p_of_alphas(state.coeffs.j2.twice_j, state.coeffs.alphas)
+
+
+def _p_of_alphas(tj: int, alphas: tuple[float, ...]) -> float:
+    """p of 2(x)(tj+1) coefficients stored by `_checked_alphas`: their total may pass 1."""
+    return min(_block_weights(1, tj)[0] * alphas[0], 1.0)
 
 
 def _value_2xn(tj: int, p: float) -> float:
@@ -234,7 +237,7 @@ def _value_in_region(k: _PerN, coords: NormalizedCoords, region: Region):
         # minimizer on EA' at s = (N-1) a / (N-3), a the smaller root of
         # (N-1)^2 a^2 + t1 a + N(N-3) x = 0 (t1 < 0); disc is taken from the same
         # quadratic in 1 - s, whose constant c0 <= 0 is the A'-F form: no cancellation
-        n1, nn3, n1sq, c1k, n2, c0k, q4, r2, nm1, nm3 = k.fce
+        n1, nn3, n1sq, c1k, n2, c0k, q4, r2, nm1, nm3, scale = k.fce
         t1 = n1 * y - nn3 * x - n1sq               # (N+1) y - N(N-3) x - (N-1)^2
         c1 = -t1 - c1k                             # -t1 - 2(N-1)(N-3)
         c0 = n2 * x + n1 * y - c0k                 # 2N x + (N+1) y - 2(N-1)
@@ -242,13 +245,13 @@ def _value_in_region(k: _PerN, coords: NormalizedCoords, region: Region):
         a = r2 * x / (-t1 + math.sqrt(max(disc, 0.0)))  # 2N(N-3) x / (-t1 + sqrt disc)
         s = min(max(nm1 * a / nm3, 0.0), 1.0)
         sigma = _segment_root(k.e, k.a_prime, s)
-        root = ("a", a, t1)
+        root = ("a", a, t1 * scale)
     elif region is _TRI_APRIME_DH:
         # minimizer on the edge DA' at s = u / ((N+3)(N-1)(N-3)), where
         # u = 2N(N^2-5) b - K, K = (N+3)(N-1)^2, for the larger root b of
         # 2N(N^2-5) b^2 - t2 b + K x = 0; u solves u^2 + beta u - gamma = 0
         # with gamma >= 0 and is taken in the form that does not cancel
-        K, M, p3, den = k.dh
+        K, M, p3, den, scale = k.dh
         Py = p3 * y                                # (N+1)^2 (N-3) y
         t2 = K + M * x + Py
         beta = K - M * x - Py
@@ -257,7 +260,7 @@ def _value_in_region(k: _PerN, coords: NormalizedCoords, region: Region):
         u = 2.0 * gamma / (beta + sq) if beta > 0.0 else (sq - beta) / 2.0
         s = min(max(u / den, 0.0), 1.0)
         sigma = _segment_root(k.d, k.a_prime, s)
-        root = ("b", (u + K) / M, t2)
+        root = ("b", (u + K) / M, t2 * scale)
     else:  # pragma: no cover
         raise ValueError(f"region {region} is not defined for N = {k.n}")
     # sigma is on the PPT polygon, where the third coordinate is at least that
@@ -305,20 +308,19 @@ def e_gamma_3xn_even(N: int, coords: NormalizedCoords) -> REEResult:
 
 
 def ree_dispatch(j1: Spin, j2: Spin, alphas) -> REEResult:
-    """Route an alpha-vector to the closed form for its spin family."""
+    """Route an alpha-vector, checked once, to the closed form for its spin family."""
     if j2.twice_j < j1.twice_j:
         raise ValueError("expected j2 >= j1")
-    return _by_family(make_ri_state(j1, j2, alphas), ree_2xn, _ree_3xn)
+    return _by_family(j1, j2, _checked_alphas(j1, j2, alphas)[0], ree_2xn, _ree_3xn)
 
 
-def _by_family(state: RIState, two_by_n, three_by_n):
-    """A validated state routed by its spin family: two_by_n(j2, p) of a 2(x)N state,
-    three_by_n(N, coords) of a 3(x)N state; the closed forms and the oracle cover no other."""
-    vec = state.coeffs
-    if vec.j1.twice_j == 1:
-        return two_by_n(vec.j2, p_of_state(state))
-    if vec.j1.twice_j == 2:
-        return three_by_n(vec.j2.twice_j + 1, raw_to_normalized(state))
+def _by_family(j1: Spin, j2: Spin, alphas: tuple[float, ...], two_by_n, three_by_n):
+    """Coefficients stored by `_checked_alphas` routed by spin family: two_by_n(j2, p) of a
+    2(x)N vector, three_by_n(N, coords) of a 3(x)N one; no closed form or oracle covers others."""
+    if j1.twice_j == 1:
+        return two_by_n(j2, _p_of_alphas(j2.twice_j, alphas))
+    if j1.twice_j == 2:
+        return three_by_n(j2.twice_j + 1, _coords_of_alphas(j2.twice_j + 1, alphas))
     raise UnsupportedFamilyError(
-        f"no closed form for j1 = {vec.j1.j}; only j1 in {{1/2, 1}} is supported "
+        f"no closed form for j1 = {j1.j}; only j1 in {{1/2, 1}} is supported "
         "(the oracle-only fallback --force-oracle is likewise restricted)")

@@ -190,8 +190,10 @@ class _PerN(NamedTuple):
     """Everything the 3(x)N closed forms read at N, built once per N by `_per_n`.
 
     The A'FCE and A'DH constants are the floats their expressions in N convert
-    to, so the closed forms give the same bits; K stays an int, so that its
-    conversion to float, which can overflow, happens inside the A'DH branch only.
+    to, each times 2^-e, with e >= 0 per root chosen by `_per_n` to keep the
+    squares in the root's arithmetic in the float range.  A power of two scales a
+    quadratic's coefficients exactly, so its root keeps its bits; the reported t1
+    or t2 is scaled back.
     """
 
     n: int
@@ -202,8 +204,9 @@ class _PerN(NamedTuple):
     e: Point2
     a_prime: Point2
     fce: tuple          # N+1, N(N-3), (N-1)^2, 2(N-1)(N-3), 2N, 2(N-1), 4.0(N-1)(N-3),
-                        # 2.0 N(N-3), N-1, N-3
-    dh: tuple           # K = (N+3)(N-1)^2, 2.0 N(N^2-5), (N+1)^2 (N-3), (N+3)(N-1)(N-3)
+                        # 2.0 N(N-3), each times 2^-e; N-1, N-3; 2.0^e
+    dh: tuple           # K = (N+3)(N-1)^2, 2.0 N(N^2-5), (N+1)^2 (N-3), (N+3)(N-1)(N-3),
+                        # each times 2^-e; 2.0^e
     floor: float        # 2/N/(N+1), the third coordinate of A'
     prefactors: tuple   # `states._prefactors(N)`
     spin: Spin          # Spin(N - 1), the second spin
@@ -221,11 +224,20 @@ def _per_n(N: int) -> _PerN:
              (N * (N * N - 5), (N - 2) * (N + 1) ** 2, (N + 3) * (N - 1) * (N - 2)))
     approx = tuple(float(v) for line in lines for v in line)
     ch = _normalized_chart(N)
-    fce = (float(N + 1), float(N * (N - 3)), float((N - 1) ** 2), float(2 * (N - 1) * (N - 3)),
-           float(2 * N), float(2 * (N - 1)), 4.0 * (N - 1) * (N - 3), 2.0 * N * (N - 3),
-           float(N - 1), float(N - 3))
-    dh = ((N + 3) * (N - 1) ** 2, 2.0 * N * (N * N - 5), float((N + 1) ** 2 * (N - 3)),
-          float((N + 3) * (N - 1) * (N - 3)))
+    # N < 2^b bounds |c1| of the A'FCE root by 4 N^2 < 2^(2b+2) and |beta| of the A'DH
+    # root by 4 N^3 < 2^(3b+2); scaled by 2^-e, each stays under 2^510, and its square,
+    # with the other term under the root, in the float range.  e = 0 below N = 2^254
+    # and 2^169, under the N (about 1.2e77 and 2.4e51) where the unscaled squares
+    # overflow.  Integer true division rounds once, as float() does, and cannot overflow.
+    e = max(2 * N.bit_length() - 508, 0)
+    f = 2 ** e
+    fce = ((N + 1) / f, N * (N - 3) / f, (N - 1) ** 2 / f, 2 * (N - 1) * (N - 3) / f,
+           2 * N / f, 2 * (N - 1) / f, 4.0 * (N - 1) * ((N - 3) / f), 2.0 * N * ((N - 3) / f),
+           float(N - 1), float(N - 3), 2.0 ** e)
+    e = max(3 * N.bit_length() - 508, 0)
+    f = 2 ** e
+    dh = ((N + 3) * (N - 1) ** 2 / f, 2.0 * N * ((N * N - 5) / f), (N + 1) ** 2 * (N - 3) / f,
+          (N + 3) * (N - 1) * (N - 3) / f, 2.0 ** e)
     return _PerN(N, lines, approx, N > 3, ch.d, ch.e, ch.a_prime, fce, dh, 2.0 / N / (N + 1),
                  _prefactors(N), _spin_of_n(N), "E_Gamma" if N % 2 == 0 else "E_r")
 

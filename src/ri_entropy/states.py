@@ -84,7 +84,7 @@ def _block_weight_array(tj1: int, tj2: int) -> np.ndarray:
     return arr
 
 
-def _checked_alphas(j1: Spin, j2: Spin, alphas, renorm_tol: float):
+def _checked_alphas(j1: Spin, j2: Spin, alphas, renorm_tol: float = RENORM_TOL):
     """(stored alphas, renormalized) of an outside coefficient vector, or its refusal.
 
     Each coefficient is floated once, then judged in order: length, weighted total
@@ -132,14 +132,9 @@ class AlphaVector:
 
     @staticmethod
     def _unchecked(j1: Spin, j2: Spin, alphas: tuple[float, ...]) -> AlphaVector:
-        """An AlphaVector stored as given, without the checks of __post_init__.
-
-        Only for vectors stored by `_checked_alphas` (`make_ri_state`) and for
-        builders whose checked inputs make them valid (`_alpha_vector_2xn`,
-        `_alpha_vector_3xn`, `closed_form._ree_3xn`): j2 >= j1, one finite
-        float >= 0 per block and a weighted total within a few ulps of 1, as
-        __post_init__ would store.
-        """
+        """An AlphaVector stored as given, without the checks of __post_init__: only for
+        coefficients stored by `_checked_alphas` or built from checked inputs, which hold
+        j2 >= j1 and finite floats >= 0 with a weighted total within a few ulps of 1."""
         self = _new(AlphaVector)
         _store(self, "j1", j1)  # the stores of the frozen __init__
         _store(self, "j2", j2)
@@ -222,7 +217,7 @@ def make_ri_state(j1: Spin, j2: Spin, alphas) -> RIState:
     less than 1e-8 is divided out and flagged as `renormalized`.
     `_checked_alphas` makes every refusal and that repair.
     """
-    alphas, renormalized = _checked_alphas(j1, j2, alphas, RENORM_TOL)
+    alphas, renormalized = _checked_alphas(j1, j2, alphas)
     return _ri_state(_alpha_vector(j1, j2, alphas), renormalized)
 
 
@@ -390,14 +385,17 @@ def _prefactors(N: int) -> tuple[float, float, float]:
 
 
 def raw_to_normalized(state: RIState) -> NormalizedCoords:
-    """Barycentric (ahat_lo, ahat_mid) of a 3(x)N state: a validated state's are finite and
-    >= 0, so only a sum above 1 takes the checks of NormalizedCoords; others are just stored."""
-    vec = state.coeffs
-    if vec.j1.twice_j != 2:  # j2 >= j1 holds for every validated state
+    """Barycentric (ahat_lo, ahat_mid) of a 3(x)N state (`_coords_of_alphas`)."""
+    if state.coeffs.j1.twice_j != 2:  # j2 >= j1 holds for every validated state
         raise ValueError("normalized coordinates are defined only for 3(x)N systems (j1 = 1)")
-    pre, a = _prefactors(vec.j2.twice_j + 1), vec.alphas
+    return _coords_of_alphas(state.coeffs.j2.twice_j + 1, state.coeffs.alphas)
+
+
+def _coords_of_alphas(N: int, a: tuple[float, ...]) -> NormalizedCoords:
+    """Barycentric point of 3(x)N coefficients stored by `_checked_alphas`: finite, >= 0."""
+    pre = _prefactors(N)
     lo, mid = a[0] / pre[0], a[1] / pre[1]
-    if lo + mid > 1.0:
+    if lo + mid > 1.0:  # a total accepted above 1: the only point NormalizedCoords can change
         return NormalizedCoords(lo, mid)
     self = _new(NormalizedCoords)
     _store(self, "ahat_lo", lo)

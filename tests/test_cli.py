@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import ri_entropy.oracle
-from ri_entropy.angular import Spin
+from ri_entropy.angular import Spin, coupling_range
 from ri_entropy.cli import (EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION, EXIT_VERIFY_FAIL,
                             _report_payload, _result_payload, dumps_record, format_spin, main)
-from ri_entropy.closed_form import _ree_3xn, ree_2xn
-from ri_entropy.states import NormalizedCoords
+from ri_entropy.closed_form import UnsupportedFamilyError, _ree_3xn, ree_2xn, ree_dispatch
+from ri_entropy.states import NormalizedCoords, make_ri_state
 from simd_dispatch import run_avx512_off
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -155,6 +155,70 @@ class TestRee:
                            "--alpha", "4,0,0,0")
         assert code == EXIT_UNSUPPORTED
         assert "force-oracle" in err
+
+
+# (j1, j2, alphas) of each refusal that make_ri_state and the routing to a family
+# make: wrong length, unnormalized, j2 < j1, NaN, negative, overflowing total,
+# and j1 = 3/2, which no closed form covers
+REFUSED_VECTORS = [
+    ("1", "1", (0.5, 0.9)),
+    ("1", "1", (0.5, 0.9, 0.5)),
+    ("1", "1/2", (0.5, 0.9)),
+    ("1", "1/2", (1 / math.sqrt(3), 0.0)),  # normalized for the swapped pair
+    ("1", "1", (math.nan, 0.9, 0.37588444481314626)),
+    ("1", "1", (-1e-3, 1.7320508075688772, 0.0)),
+    ("1/2", "3/2", (1.7e308, 1.7e308)),
+    ("3/2", "3/2", (0.5, 0.5, 0.5, 0.5)),
+    ("3/2", "2", (0.5, 0.5, 0.5, 0.5)),
+    ("3/2", "3/2", tuple(math.sqrt(2 * J + 1) / 4 for J in range(4))),
+]
+
+
+def _refusal(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestDispatchRefusals:
+    """ree_dispatch and `ree --alpha` check a vector once and refuse it as the
+    validation of make_ri_state does, in its order, then the family."""
+
+    @pytest.mark.parametrize("j1,j2,alphas", REFUSED_VECTORS)
+    def test_dispatch_refuses_as_the_validation(self, j1, j2, alphas):
+        s1, s2 = Spin.of(j1), Spin.of(j2)
+        got = _refusal(ree_dispatch, s1, s2, alphas)
+        if s2.twice_j < s1.twice_j:  # the spin order is judged first
+            assert got == (ValueError, "expected j2 >= j1")
+            return
+        try:
+            make_ri_state(s1, s2, alphas)
+        except ValueError:
+            assert got == _refusal(make_ri_state, s1, s2, alphas)
+        else:  # a valid vector of a family without a closed form
+            assert got == (UnsupportedFamilyError, (
+                "no closed form for j1 = 1.5; only j1 in {1/2, 1} is supported "
+                "(the oracle-only fallback --force-oracle is likewise restricted)"))
+
+    @pytest.mark.parametrize("j1,j2,alphas", REFUSED_VECTORS)
+    def test_cli_refuses_as_the_validation(self, capsys, j1, j2, alphas):
+        s1, s2 = Spin.of(j1), Spin.of(j2)
+        text = ",".join(repr(a) for a in alphas)
+        code, out, err = run(capsys, "ree", "--j1", j1, "--j2", j2, f"--alpha={text}")
+        assert out == ""
+        n = len(coupling_range(s1, s2))
+        if len(alphas) != n:  # the option's own count comes first
+            assert (code, err) == (
+                EXIT_VALIDATION, f"error: --alpha needs {n} comma-separated values, got {text!r}\n")
+            return
+        try:
+            make_ri_state(s1, s2, alphas)
+        except ValueError as exc:  # the CLI makes no spin-order check of its own
+            assert (code, err) == (EXIT_VALIDATION, f"error: {exc}\n")
+        else:
+            kind, message = _refusal(ree_dispatch, s1, s2, alphas)
+            assert kind is UnsupportedFamilyError
+            assert (code, err) == (EXIT_UNSUPPORTED, f"error: {message}\n")
 
 
 def as_printed(payload: dict) -> dict:

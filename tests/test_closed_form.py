@@ -623,7 +623,7 @@ def _large_n_records():
 
 # as GOLDEN_SHA256: a change to these is a change of closed-form output and must be deliberate
 LARGE_N_COUNT = 1401
-LARGE_N_SHA256 = "0229d92b40b683954195215b7ffcb2303d079a4c22575156c199ccd43f1dbcb6"
+LARGE_N_SHA256 = "5fd23e614543f39404b812197adb7f11f383189255add8ed01cdb0cd9bfecff9"
 
 
 class TestLargeNGolden:
@@ -675,6 +675,8 @@ class TestValidByConstruction:
     """normalized_to_raw and state_2xn build their vectors without a second validation."""
 
     def test_closed_forms_validate_only_outside_vectors(self, monkeypatch):
+        from ri_entropy import closed_form
+
         runs = []
         validate = states._checked_alphas
 
@@ -682,7 +684,9 @@ class TestValidByConstruction:
             runs.append(args)
             return validate(*args)
 
+        # under each name a module calls it by
         monkeypatch.setattr(states, "_checked_alphas", counted)
+        monkeypatch.setattr(closed_form, "_checked_alphas", counted)
 
         def runs_of(fn, *args):
             runs.clear()
@@ -747,6 +751,88 @@ class TestValidByConstruction:
                     state_2xn(j, min(p, pc)).coeffs.alphas)
 
 
+def _dispatch_inputs():
+    """(j1, j2, alphas, reference) per point: each 2(x)N vertex and p near the
+    threshold, each 3(x)N simplex vertex and `_edge_points`, as the builders make
+    them and again times 1 + 5e-11, a weighted total that is kept as given; the
+    reference is the family function on the point read off the vector test-side."""
+    out = []
+    for tj in (1, 2, 3, 7):
+        j = Spin(tj)
+        pc = separability_threshold(j)
+        w0 = math.sqrt(tj / (2 * tj + 2))
+        for p in (0.0, 1.0, pc, math.nextafter(pc, 1.0), 0.3, 0.97):
+            for scale in (1.0, 1 + 5e-11):
+                alphas = tuple(a * scale for a in state_2xn(j, p).coeffs.alphas)
+                out.append((Spin(1), j, alphas, ree_2xn(j, min(w0 * alphas[0], 1.0))))
+    for N in (3, 4, 5, 7, 101, 10**8 + 1):
+        pre = (math.sqrt(3 * N / (N - 2)), math.sqrt(3.0), math.sqrt(3 * N / (N + 2)))
+        vertices = [NormalizedCoords(x, y) for x, y in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
+        for coords in vertices + _edge_points(N):
+            for scale in (1.0, 1 + 5e-11):
+                alphas = tuple(a * scale for a in normalized_to_raw(N, coords).coeffs.alphas)
+                point = NormalizedCoords(alphas[0] / pre[0], alphas[1] / pre[1])
+                out.append((Spin(2), Spin(N - 1), alphas, _ree_3xn(N, point)))
+    return out
+
+
+class TestDispatchRoute:
+    """ree_dispatch checks a vector once and reads p or the barycentric point
+    straight from the stored tuple: no state is built on the way."""
+
+    def test_value_region_and_minimizer_bits_match_the_family_functions(self):
+        clamped = above_one = 0
+        for j1, j2, alphas, want in _dispatch_inputs():
+            got = ree_dispatch(j1, j2, alphas)
+            assert (got.value.hex(), got.region, got.quantity) == (
+                want.value.hex(), want.region, want.quantity)
+            assert (got.minimizer.j1, got.minimizer.j2) == (want.minimizer.j1, want.minimizer.j2)
+            assert _bits(got.minimizer.alphas) == _bits(want.minimizer.alphas)
+            assert repr(got.aux) == repr(want.aux)
+            if j1.twice_j == 1:
+                clamped += math.sqrt(j2.twice_j / (2 * j2.twice_j + 2)) * alphas[0] > 1.0
+            else:
+                pre = _prefactors(j2.twice_j + 1)
+                above_one += alphas[0] / pre[0] + alphas[1] / pre[1] > 1.0
+        # the p -> 1 clamp and the sum-above-1 branch are both taken
+        assert clamped > 0 and above_one > 0
+
+    def test_warm_dispatch_builds_the_minimizer_only(self, monkeypatch):
+        from ri_entropy import closed_form
+
+        built, states_made = [], []
+        new, post_init, ri_state = states._new, AlphaVector.__post_init__, states._ri_state
+
+        def counted_new(cls):
+            built.append(cls.__name__)
+            return new(cls)
+
+        def counted_post_init(self):
+            built.append("AlphaVector")
+            post_init(self)
+
+        def counted_ri_state(*args):
+            states_made.append(args)
+            return ri_state(*args)
+
+        cases = [(j1, j2, alphas) for j1, j2, alphas, _ in _dispatch_inputs()]
+        for case in cases:  # warm every cache
+            ree_dispatch(*case)
+        for module in (states, closed_form):
+            monkeypatch.setattr(module, "_new", counted_new)
+            monkeypatch.setattr(module, "_ri_state", counted_ri_state)
+        monkeypatch.setattr(AlphaVector, "__post_init__", counted_post_init)
+        AlphaVector(Spin(1), Spin(1), (1.0, 1 / math.sqrt(3)))
+        states._alpha_vector(Spin(1), Spin(1), (1.0, 1 / math.sqrt(3)))
+        assert built == ["AlphaVector", "AlphaVector"]  # both hooks are live
+        for case in cases:
+            built.clear()
+            ree_dispatch(*case)
+            assert built.count("AlphaVector") == 1
+            assert "RIState" not in built
+        assert states_made == []
+
+
 def _near_a_prime(N):
     """Points 2^-k of the way from A' to each end of its four lines, and as far
     beyond A', each also 1 ulp off in x and in y; those NormalizedCoords takes."""
@@ -806,17 +892,17 @@ class TestMinimizerBuiltOnce:
         from ri_entropy import closed_form
 
         runs = []
-        check, convert = NormalizedCoords.__init__, closed_form.raw_to_normalized
+        check, convert = NormalizedCoords.__init__, closed_form._coords_of_alphas
 
         def counted(self, *args, **kwargs):
             runs.append("check")
             check(self, *args, **kwargs)
 
-        def counted_convert(state):
+        def counted_convert(N, alphas):
             before = len(runs)
-            coords = convert(state)
+            coords = convert(N, alphas)
             del runs[before:]  # its own check, taken only for a sum above 1
-            runs.append("raw_to_normalized")
+            runs.append("_coords_of_alphas")
             return coords
 
         def runs_of(fn, *args):
@@ -830,12 +916,12 @@ class TestMinimizerBuiltOnce:
             assert {ree_3xn(N, c).region for c in points} == {r for r, _ in region_polygons(N)}
             cases += [(N, c, normalized_to_raw(N, c).alphas()) for c in points]
         monkeypatch.setattr(NormalizedCoords, "__init__", counted)
-        monkeypatch.setattr(closed_form, "raw_to_normalized", counted_convert)
+        monkeypatch.setattr(closed_form, "_coords_of_alphas", counted_convert)
         assert runs_of(NormalizedCoords, 0.2, 0.3) == ["check"]  # the hook is live
         for N, coords, raw in cases:
             assert runs_of(ree_3xn, N, coords) == []
             # only the conversion of the input vector
-            assert runs_of(ree_dispatch, Spin(2), Spin(N - 1), raw) == ["raw_to_normalized"]
+            assert runs_of(ree_dispatch, Spin(2), Spin(N - 1), raw) == ["_coords_of_alphas"]
 
     @pytest.mark.parametrize("N", MINIMIZER_NS)
     def test_aux_point_is_the_minimizer(self, N):

@@ -17,6 +17,7 @@ from ri_entropy import geometry
 from ri_entropy.closed_form import e_gamma_3xn_even, ree_3x3, ree_3xn_odd
 from ri_entropy.geometry import Region, classify_region, region_polygons
 from ri_entropy.states import NormalizedCoords
+from test_closed_form import LAST_FLOAT_N
 
 NS = [3, 4, 5, 6, 101, 10**4 + 1, 10**6 + 1, 10**8, 10**8 + 1, 10**12, 10**12 + 1]
 TINY = (5e-324, 1e-300, 1e-17)
@@ -188,3 +189,18 @@ def test_line_forms_vanish_at_their_landmarks(N):
             x, y = c[name]
             assert a * x + b * y - k == 0, (N, name)
         assert approx == tuple(float(v) for v in exact)
+
+
+@pytest.mark.parametrize("N", [3 * 10**51 + 1, 10**52 + 1, 2 * 10**77 + 1, 10**78 + 1,
+                               LAST_FLOAT_N])
+def test_flanking_roots_stay_in_the_float_range(N):
+    # unscaled, beta^2 of the A'DH root overflows from about 2.4e51 on and c1^2 of
+    # the A'FCE root from about 1.2e77 on, which moved the minimizer to D or E
+    for region, poly in region_polygons(N):
+        if region in (Region.POLY_APRIME_FCE, Region.TRI_APRIME_DH):
+            c = NormalizedCoords(sum(v.x for v in poly) / len(poly),
+                                 sum(v.y for v in poly) / len(poly))
+            res = closed_form(N, c)
+            assert res.region is region
+            assert math.isfinite(res.aux.root)
+            assert abs(res.value - float(mp_ree(N, c.ahat_lo, c.ahat_mid))) <= 1e-15
