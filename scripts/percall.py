@@ -10,7 +10,8 @@ Cases, from fixed seeds:
     of each region's polygon, and `e_gamma_3xn_even(10^8+2, c)` in `TRI_A'DH`,
     where the constants in N round; `ree_dispatch` on a separable 2(x)2, an
     entangled 2(x)4 and a 3(x)7 alpha-vector, and on a 3(x)(10^8+1) alpha-vector
-    at the vertex mean of each region;
+    at the vertex mean of each region; `ree_3xn_odd` and `ree_dispatch` at
+    N = 10^8+1 on HBF_STATE, whose region test takes the exact fallback twice;
   - for every spin pair of the benchmark's dense chains (2(x)N for 2j = 1..10,
     3(x)N for N = 3..11): `quantum_relative_entropy` of a seeded entangled state
     and its closed-form minimizer, on the total-M blocks and on the same matrices
@@ -51,6 +52,9 @@ machine.pin_blas_threads()  # before numpy is imported
 import numpy as np  # noqa: E402
 
 SEED = 2021
+# the first POLY_A'HBF state of the benchmark's fixed draw at N = 10^8+1: like each
+# of them, its region test takes the exact integer sign on lines A'-E and A'-H
+HBF_STATE = (0.9999999968434531, 3.156546858860289e-09)
 DENSE_PAIRS = [(1, tj) for tj in range(1, 11)] + [(2, n - 1) for n in range(3, 12)]
 
 
@@ -102,6 +106,11 @@ def cases(mod) -> dict:
         raw = st.normalized_to_raw(10**8 + 1, c).coeffs.alphas
         out[closed, f"`ree_dispatch`, 3⊗(10⁸+1) in `{region}`", "per call"] = (
             cf.ree_dispatch, (Spin(2), Spin(10**8), raw))
+    hbf = st.NormalizedCoords(*HBF_STATE)
+    out[closed, "`ree_3xn_odd(10⁸+1, s)`, s a fixed `POLY_A'HBF` state", "per call"] = (
+        cf.ree_3xn_odd, (10**8 + 1, hbf))
+    out[closed, "`ree_dispatch`, 3⊗(10⁸+1) at s", "per call"] = (
+        cf.ree_dispatch, (Spin(2), Spin(10**8), st.normalized_to_raw(10**8 + 1, hbf).coeffs.alphas))
     out[closed, "`make_ri_state`, 3⊗7", "per call"] = (
         st.make_ri_state, (Spin(2), Spin(6), fce.coeffs.alphas))
     for tj1, tj2 in DENSE_PAIRS:

@@ -127,12 +127,14 @@ def cmd_ree(args) -> int:
         raise ValueError("provide exactly one of --p, --alpha, --normalized")
 
     # the point that the closed form and the oracle both evaluate, as given:
-    # (0, (j2, p)) of a 2(x)N state, (1, (N, coords)) of a 3(x)N state
+    # (0, (j2, p)) of a 2(x)N state, (1, (N, x, y)) of a 3(x)N state
     if args.p is not None:
         if j1.twice_j != 1:
             raise ValueError("--p applies to the 2(x)N family (j1 = 1/2) only")
         family, point = 0, (j2, _checked_2xn(j2, args.p))
     elif args.alpha is not None:
+        if j2.twice_j < j1.twice_j:  # first, as ree_dispatch refuses it
+            raise ValueError("expected j2 >= j1")
         alphas = _floats(args.alpha, len(coupling_range(j1, j2)), "--alpha")
         family, point = _by_family(j1, j2, _checked_alphas(j1, j2, alphas)[0],
                                    lambda *a: (0, a), lambda *a: (1, a))
@@ -140,15 +142,15 @@ def cmd_ree(args) -> int:
         if j1.twice_j != 2:
             raise ValueError("--normalized applies to 3(x)N systems (j1 = 1) only")
         coords = NormalizedCoords(*_floats(args.normalized, 2, "--normalized"))
-        family, point = 1, (_check_n(j2.dim), coords)
+        family, point = 1, (_check_n(j2.dim), coords.ahat_lo, coords.ahat_mid)
 
     command = {"name": "ree", "j1": format_spin(j1), "j2": format_spin(j2),
                "p": args.p, "alpha": args.alpha, "normalized": args.normalized,
                "oracle": bool(args.oracle), "force_oracle": bool(args.force_oracle)}
 
     if args.oracle or args.force_oracle:
-        from .oracle import minimize_kl_over_interval, minimize_kl_over_polygon
-        report = (minimize_kl_over_interval, minimize_kl_over_polygon)[family](*point)
+        from .oracle import _polygon_report, minimize_kl_over_interval
+        report = (minimize_kl_over_interval, _polygon_report)[family](*point)
     if args.force_oracle:
         result = {"quantity": "oracle_min", **_report_payload(report)}
     else:

@@ -196,7 +196,7 @@ def ree_2xn(j: Spin, p: float) -> REEResult:
 
 def ree_3x3(coords: NormalizedCoords) -> REEResult:
     """REE of a two-spin-1 RI state from its barycentric coordinates."""
-    return _ree_3xn(3, coords)
+    return _ree_3xn(3, coords.ahat_lo, coords.ahat_mid)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +208,9 @@ def _segment_root(c0: Point2, c1: Point2, s: float):
     return ((1.0 - s) * c0.x + s * c1.x, (1.0 - s) * c0.y + s * c1.y)
 
 
-def _value_in_region(k: _PerN, coords: NormalizedCoords, region: Region):
-    """Closed form for a state evaluated under the formula of `region`, from the
-    `_PerN` k of N.
+def _value_in_region(k: _PerN, x: float, y: float, region: Region):
+    """Closed form for the state at the barycentric point (x, y), evaluated under
+    the formula of `region`, from the `_PerN` k of N.
 
     Returns (value, sigma, root): sigma = (sigma_x, sigma_y, sigma_z), the
     minimizing barycentric point, has sigma_x, sigma_y >= 0 and
@@ -219,9 +219,9 @@ def _value_in_region(k: _PerN, coords: NormalizedCoords, region: Region):
     else None.  The region is a parameter so that boundary points can be
     evaluated under both adjacent formulas (continuity tests).
     """
-    x, y = coords.ahat_lo, coords.ahat_mid
+    hi = max(1.0 - x - y, 0.0)  # NormalizedCoords.ahat_hi: x + y may round to 1
     if region is _SEPARABLE:
-        return 0.0, (x, y, coords.ahat_hi), None
+        return 0.0, (x, y, hi), None
     root = None
 
     if region is _TRI_APRIME_CE:
@@ -266,21 +266,25 @@ def _value_in_region(k: _PerN, coords: NormalizedCoords, region: Region):
     # sigma is on the PPT polygon, where the third coordinate is at least that
     # of A', 2/(N(N+1)); near A' at large N, 1 - x - y rounds below it
     sigma = (*sigma, max(1.0 - sigma[0] - sigma[1], k.floor))
-    return _discrete_kl((x, y, coords.ahat_hi), sigma), sigma, root
+    return _discrete_kl((x, y, hi), sigma), sigma, root
 
 
-def _value_3xn(N: int, coords: NormalizedCoords) -> float:
-    """E_r (odd N) or E_Gamma (even N) of a checked int N: the value alone,
-    without a minimizer; the value of `_ree_3xn`."""
+# The cores below take a checked int N and the floats of a point on the simplex,
+# as a NormalizedCoords stores them: the public functions unpack their coords once.
+
+
+def _value_3xn(N: int, x: float, y: float) -> float:
+    """E_r (odd N) or E_Gamma (even N) at (x, y): the value alone, without a
+    minimizer; the value of `_ree_3xn`."""
     k = _per_n(N)
-    return _value_in_region(k, coords, _classify_region(k, coords))[0]
+    return _value_in_region(k, x, y, _classify_region(k, x, y))[0]
 
 
-def _ree_3xn(N: int, coords: NormalizedCoords) -> REEResult:
-    """E_r (odd N) or E_Gamma (even N) of a checked int N; sigma needs no second check."""
+def _ree_3xn(N: int, x: float, y: float) -> REEResult:
+    """E_r (odd N) or E_Gamma (even N) at (x, y); sigma needs no second check."""
     k = _per_n(N)
-    region = _classify_region(k, coords)
-    value, (lo, mid, hi), root = _value_in_region(k, coords, region)
+    region = _classify_region(k, x, y)
+    value, (lo, mid, hi), root = _value_in_region(k, x, y, region)
     p_lo, p_mid, p_hi = k.prefactors  # the minimizer as `_alpha_vector_3xn` builds it
     minimizer = _alpha_vector(_SPIN_ONE, k.spin, (p_lo * lo, p_mid * mid, p_hi * hi))
     aux = None if root is None else _root_info(*root, _tuple_new(Point2, minimizer.alphas[:2]))
@@ -292,7 +296,7 @@ def ree_3xn_odd(N: int, coords: NormalizedCoords) -> REEResult:
     N = _check_n(N)
     if N % 2 == 0 or N < 5:
         raise ValueError("need odd N >= 5 (use ree_3x3 / e_gamma_3xn_even otherwise)")
-    return _ree_3xn(N, coords)
+    return _ree_3xn(N, coords.ahat_lo, coords.ahat_mid)
 
 
 def e_gamma_3xn_even(N: int, coords: NormalizedCoords) -> REEResult:
@@ -300,7 +304,7 @@ def e_gamma_3xn_even(N: int, coords: NormalizedCoords) -> REEResult:
     N = _check_n(N)
     if N % 2 or N < 4:
         raise ValueError("need even N >= 4")
-    return _ree_3xn(N, coords)
+    return _ree_3xn(N, coords.ahat_lo, coords.ahat_mid)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +320,12 @@ def ree_dispatch(j1: Spin, j2: Spin, alphas) -> REEResult:
 
 def _by_family(j1: Spin, j2: Spin, alphas: tuple[float, ...], two_by_n, three_by_n):
     """Coefficients stored by `_checked_alphas` routed by spin family: two_by_n(j2, p) of a
-    2(x)N vector, three_by_n(N, coords) of a 3(x)N one; no closed form or oracle covers others."""
+    2(x)N vector, three_by_n(N, x, y) of a 3(x)N one; no closed form or oracle covers others."""
     if j1.twice_j == 1:
         return two_by_n(j2, _p_of_alphas(j2.twice_j, alphas))
     if j1.twice_j == 2:
-        return three_by_n(j2.twice_j + 1, _coords_of_alphas(j2.twice_j + 1, alphas))
+        x, y = _coords_of_alphas(j2.twice_j + 1, alphas)
+        return three_by_n(j2.twice_j + 1, x, y)
     raise UnsupportedFamilyError(
         f"no closed form for j1 = {j1.j}; only j1 in {{1/2, 1}} is supported "
         "(the oracle-only fallback --force-oracle is likewise restricted)")

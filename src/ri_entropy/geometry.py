@@ -258,12 +258,11 @@ def classify_region(N: int, coords: NormalizedCoords) -> Region:
     a value-neutral choice as the closed forms are continuous.  The simplex
     edges are not tested: a float point just past x + y = 1 falls beyond BC.
     """
-    return _classify_region(_per_n(_check_n(N)), coords)
+    return _classify_region(_per_n(_check_n(N)), coords.ahat_lo, coords.ahat_mid)
 
 
-def _classify_region(k: _PerN, coords: NormalizedCoords) -> Region:
-    """`classify_region` from the `_PerN` of N."""
-    x, y = coords.ahat_lo, coords.ahat_mid
+def _classify_region(k: _PerN, x: float, y: float) -> Region:
+    """`classify_region` of the point (x, y) from the `_PerN` of N."""
     ad, bd, cd, ae, be, ce, af, bf, cf, ah, bh, ch = k.approx
     # each form is > 0 on B's side of its line (on C's side for A'-E, and for
     # A'-H at N = 3); x, y >= 0 and every coefficient but bd is >= 0

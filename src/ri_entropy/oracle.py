@@ -231,8 +231,12 @@ def _polygon_search(N: int, xs: np.ndarray, ys: np.ndarray, tol: float):
 def minimize_kl_over_polygon(N: int, coords: NormalizedCoords) -> MinimizationReport:
     """Minimize KL(rho || sigma) over sigma in the PPT polygon ADA'E, in barycentric
     coordinates, to a certified bracket of `_POLYGON_TOL` in each edge's s."""
-    x, y, val, steps, width = _polygon_search(
-        _check_n(N), np.array([coords.ahat_lo]), np.array([coords.ahat_mid]), _POLYGON_TOL)
+    return _polygon_report(_check_n(N), coords.ahat_lo, coords.ahat_mid)
+
+
+def _polygon_report(N: int, x: float, y: float) -> MinimizationReport:
+    """`minimize_kl_over_polygon` of a checked int N at the point (x, y) of the simplex."""
+    x, y, val, steps, width = _polygon_search(N, np.array([x]), np.array([y]), _POLYGON_TOL)
     return MinimizationReport(optimum_value=float(val[0]),
                               optimum_point=(float(x[0]), float(y[0])),
                               iterations=int(steps[0]), final_box_size=float(width[0]),
@@ -292,10 +296,11 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
             raise ValueError("family 3xN-odd needs odd N >= 5")
         if family == "3xN-even" and (N % 2 or N < 4):
             raise ValueError("family 3xN-even needs even N >= 4")
+        # u holds multiples of 2^-53 in [0, 1), so u1 - u0 is exact and each
+        # (x, y) is a point of the simplex that NormalizedCoords stores as it is
         u = np.sort(rng.random((samples, 2)), axis=1)
         xs, ys = u[:, 0], u[:, 1] - u[:, 0]
-        closed = np.array([_value_3xn(N, NormalizedCoords(x, y))
-                           for x, y in zip(xs.tolist(), ys.tolist())])
+        closed = np.array([_value_3xn(N, x, y) for x, y in zip(xs.tolist(), ys.tolist())])
         orac = _polygon_search(N, xs, ys, _POLYGON_TOL)[2]
         inputs = (xs, ys)
         param_out = N

@@ -90,9 +90,18 @@ def _checked_alphas(j1: Spin, j2: Spin, alphas, renorm_tol: float = RENORM_TOL):
     Each coefficient is floated once, then judged in order: length, weighted total
     of the values clamped at 0 (off 1 by more than NORM_TOL but less than `renorm_tol`,
     it is divided out and judged again), spin order, finiteness, sign >= -NEG_CLAMP.
+    A vector that passes every check as it is, and so is stored as it is, is taken
+    in one pass: a NaN never lowers the min but makes the total NaN, and a total
+    within NORM_TOL of 1 is finite, so each coefficient is too.
     """
     w = _block_weights(j1.twice_j, j2.twice_j)
-    vals = [float(a) for a in alphas]
+    vals = list(map(float, alphas))
+    if len(vals) == len(w) and j2.twice_j >= j1.twice_j and min(vals) >= 0.0:
+        try:
+            if abs(math.fsum(map(mul, w, vals)) - 1.0) <= NORM_TOL:
+                return tuple(vals), False
+        except OverflowError:  # a total past the float range: refused below
+            pass
     if len(vals) != len(w):
         raise ValueError(f"expected {len(w)} coefficients for ({j1}, {j2}), got {len(vals)}")
     for renormalized in (False, True):  # at most one repair, then judged again
@@ -388,19 +397,21 @@ def raw_to_normalized(state: RIState) -> NormalizedCoords:
     """Barycentric (ahat_lo, ahat_mid) of a 3(x)N state (`_coords_of_alphas`)."""
     if state.coeffs.j1.twice_j != 2:  # j2 >= j1 holds for every validated state
         raise ValueError("normalized coordinates are defined only for 3(x)N systems (j1 = 1)")
-    return _coords_of_alphas(state.coeffs.j2.twice_j + 1, state.coeffs.alphas)
-
-
-def _coords_of_alphas(N: int, a: tuple[float, ...]) -> NormalizedCoords:
-    """Barycentric point of 3(x)N coefficients stored by `_checked_alphas`: finite, >= 0."""
-    pre = _prefactors(N)
-    lo, mid = a[0] / pre[0], a[1] / pre[1]
-    if lo + mid > 1.0:  # a total accepted above 1: the only point NormalizedCoords can change
-        return NormalizedCoords(lo, mid)
+    lo, mid = _coords_of_alphas(state.coeffs.j2.twice_j + 1, state.coeffs.alphas)
     self = _new(NormalizedCoords)
     _store(self, "ahat_lo", lo)
     _store(self, "ahat_mid", mid)
     return self
+
+
+def _coords_of_alphas(N: int, a: tuple[float, ...]) -> tuple[float, float]:
+    """Barycentric (lo, mid) of 3(x)N coefficients stored by `_checked_alphas`: finite, >= 0."""
+    pre = _prefactors(N)
+    lo, mid = a[0] / pre[0], a[1] / pre[1]
+    if lo + mid > 1.0:  # a total accepted above 1: the only point NormalizedCoords can change
+        coords = NormalizedCoords(lo, mid)
+        return coords.ahat_lo, coords.ahat_mid
+    return lo, mid
 
 
 _SPIN_HALF, _SPIN_ONE = Spin(1), Spin(2)

@@ -171,8 +171,9 @@ def test_criterion_7_boundary_continuity(capsys):
             for s in np.linspace(0.0, 1.0, 100):
                 coords = NormalizedCoords((1 - s) * p0.x + s * p1.x,
                                           (1 - s) * p0.y + s * p1.y)
-                worst = max(worst, abs(_value_in_region(_per_n(N), coords, ra)[0]
-                                       - _value_in_region(_per_n(N), coords, rb)[0]))
+                x, y = coords.ahat_lo, coords.ahat_mid
+                worst = max(worst, abs(_value_in_region(_per_n(N), x, y, ra)[0]
+                                       - _value_in_region(_per_n(N), x, y, rb)[0]))
     report(capsys, 7, "adjacent region formulas agree on shared edges",
            worst <= 1e-8, f"max disagreement {worst:.2e}")
 

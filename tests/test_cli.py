@@ -159,7 +159,7 @@ class TestRee:
 
 # (j1, j2, alphas) of each refusal that make_ri_state and the routing to a family
 # make: wrong length, unnormalized, j2 < j1, NaN, negative, overflowing total,
-# and j1 = 3/2, which no closed form covers
+# and j1 = 3/2, which no closed form covers; last, j2 < j1 with a wrong length
 REFUSED_VECTORS = [
     ("1", "1", (0.5, 0.9)),
     ("1", "1", (0.5, 0.9, 0.5)),
@@ -171,6 +171,7 @@ REFUSED_VECTORS = [
     ("3/2", "3/2", (0.5, 0.5, 0.5, 0.5)),
     ("3/2", "2", (0.5, 0.5, 0.5, 0.5)),
     ("3/2", "3/2", tuple(math.sqrt(2 * J + 1) / 4 for J in range(4))),
+    ("1", "1/2", (0.5, 0.9, 0.5)),
 ]
 
 
@@ -181,8 +182,8 @@ def _refusal(fn, *args):
 
 
 class TestDispatchRefusals:
-    """ree_dispatch and `ree --alpha` check a vector once and refuse it as the
-    validation of make_ri_state does, in its order, then the family."""
+    """ree_dispatch and `ree --alpha` refuse j2 < j1 first, then check a vector once
+    and refuse it as the validation of make_ri_state does, in its order, then the family."""
 
     @pytest.mark.parametrize("j1,j2,alphas", REFUSED_VECTORS)
     def test_dispatch_refuses_as_the_validation(self, j1, j2, alphas):
@@ -206,14 +207,17 @@ class TestDispatchRefusals:
         text = ",".join(repr(a) for a in alphas)
         code, out, err = run(capsys, "ree", "--j1", j1, "--j2", j2, f"--alpha={text}")
         assert out == ""
+        if s2.twice_j < s1.twice_j:  # the spin order is judged first, as by ree_dispatch
+            assert (code, err) == (EXIT_VALIDATION, "error: expected j2 >= j1\n")
+            return
         n = len(coupling_range(s1, s2))
-        if len(alphas) != n:  # the option's own count comes first
+        if len(alphas) != n:  # then the option's own count
             assert (code, err) == (
                 EXIT_VALIDATION, f"error: --alpha needs {n} comma-separated values, got {text!r}\n")
             return
         try:
             make_ri_state(s1, s2, alphas)
-        except ValueError as exc:  # the CLI makes no spin-order check of its own
+        except ValueError as exc:
             assert (code, err) == (EXIT_VALIDATION, f"error: {exc}\n")
         else:
             kind, message = _refusal(ree_dispatch, s1, s2, alphas)
@@ -238,7 +242,7 @@ class TestPointAsGiven:
                     "--normalized", f"{x!r},{y!r}")
             coords = NormalizedCoords(x, y)
             assert json.loads(run(capsys, *argv)[1])["result"] == as_printed(
-                _result_payload(_ree_3xn(N, coords)))
+                _result_payload(_ree_3xn(N, coords.ahat_lo, coords.ahat_mid)))
             if k < 5:
                 assert json.loads(run(capsys, *argv, "--force-oracle")[1])["result"] == as_printed(
                     {"quantity": "oracle_min",
@@ -347,7 +351,7 @@ class TestVerify:
 
     def test_zero_tolerance_fails(self, capsys, monkeypatch):
         exact = ri_entropy.oracle._value_3xn
-        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, c: exact(N, c) + 1e-3)
+        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, x, y: exact(N, x, y) + 1e-3)
         code, out, _ = run(capsys, "verify", "--family", "3x3", "--param", "3",
                            "--samples", "10", "--seed", "0", "--tol", "0")
         rec = json.loads(out)
@@ -420,7 +424,7 @@ class TestVerify:
 
     def test_every_campaign_fails_if_one_fails(self, capsys, monkeypatch):
         exact = ri_entropy.oracle._value_3xn
-        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, c: exact(N, c) + 1e-3)
+        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, x, y: exact(N, x, y) + 1e-3)
         code, out, _ = run(capsys, "verify", "--samples", "10", "--seed", "0")
         passed = [json.loads(line)["result"]["passed"] for line in out.splitlines()]
         assert code == EXIT_VERIFY_FAIL

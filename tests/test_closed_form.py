@@ -60,6 +60,11 @@ def ree_3xn(N: int, coords: NormalizedCoords):
     return e_gamma_3xn_even(N, coords)
 
 
+def xy(coords: NormalizedCoords):
+    """The floats of a point, as the private 3(x)N cores take them."""
+    return coords.ahat_lo, coords.ahat_mid
+
+
 def simplex_samples(n, seed):
     rng = np.random.default_rng(seed)
     out = []
@@ -147,7 +152,7 @@ class TestValueCore3xN:
         u = np.sort(np.random.default_rng(N).random((200, 2)), axis=1)
         points = [NormalizedCoords(x, y - x) for x, y in u.tolist()]
         for coords in points + _centroids(N) + _edge_points(N):
-            assert _value_3xn(N, coords).hex() == _ree_3xn(N, coords).value.hex()
+            assert _value_3xn(N, *xy(coords)).hex() == _ree_3xn(N, *xy(coords)).value.hex()
 
 
 class Test3x3:
@@ -368,8 +373,8 @@ class TestInvariants:
             for s in np.linspace(0.0, 1.0, 100):
                 coords = NormalizedCoords((1 - s) * p0.x + s * p1.x,
                                           (1 - s) * p0.y + s * p1.y)
-                va = _value_in_region(_per_n(N), coords, r_left)[0]
-                vb = _value_in_region(_per_n(N), coords, r_right)[0]
+                va = _value_in_region(_per_n(N), *xy(coords), r_left)[0]
+                vb = _value_in_region(_per_n(N), *xy(coords), r_right)[0]
                 worst = max(worst, abs(va - vb))
             assert worst <= 1e-8, (r_left, r_right, worst)
 
@@ -704,6 +709,40 @@ class TestValidByConstruction:
                 assert runs_of(ree_2xn, j, p) == 0
                 assert runs_of(ree_dispatch, Spin(1), j, state_2xn(j, p).alphas()) == 1
 
+    def test_warm_3xn_dispatch_builds_no_coords_below_a_sum_of_1(self, monkeypatch):
+        # the 3(x)N cores take the two floats: a NormalizedCoords is built, by its
+        # checks, only to divide out a sum above 1
+        from ri_entropy import closed_form
+
+        built, new, init = [], states._new, NormalizedCoords.__init__
+
+        def counted_new(cls):
+            built.append(cls.__name__)
+            return new(cls)
+
+        def counted_init(self, *args):
+            built.append("NormalizedCoords.__init__")
+            init(self, *args)
+
+        cases = [(j2, alphas) for j1, j2, alphas, _ in _dispatch_inputs() if j1.twice_j == 2]
+        for j2, alphas in cases:  # warm every cache
+            ree_dispatch(Spin(2), j2, alphas)
+        for module in (states, closed_form):
+            monkeypatch.setattr(module, "_new", counted_new)
+        monkeypatch.setattr(NormalizedCoords, "__init__", counted_init)
+        NormalizedCoords(0.2, 0.3)
+        assert built == ["NormalizedCoords.__init__"]  # the hook is live
+        above_one = 0
+        for j2, alphas in cases:
+            built.clear()
+            ree_dispatch(Spin(2), j2, alphas)
+            pre = _prefactors(j2.twice_j + 1)
+            above = alphas[0] / pre[0] + alphas[1] / pre[1] > 1.0
+            assert [b for b in built if b.startswith("NormalizedCoords")] == (
+                ["NormalizedCoords.__init__"] if above else []), (j2, alphas)
+            above_one += above
+        assert above_one > 0
+
     def test_3xn_builder_matches_make_ri_state(self):
         golden = {}
         for fn, args in _golden_calls():
@@ -714,7 +753,7 @@ class TestValidByConstruction:
             points = _edge_points(N) + golden.get(N, [])
             # each point, and the minimizer the closed form builds for it
             minimizers = [
-                NormalizedCoords(*_value_in_region(_per_n(N), c, classify_region(N, c))[1][:2])
+                NormalizedCoords(*_value_in_region(_per_n(N), *xy(c), classify_region(N, c))[1][:2])
                 for c in points]
             for coords in points + minimizers:
                 built = normalized_to_raw(N, coords)
@@ -772,7 +811,7 @@ def _dispatch_inputs():
             for scale in (1.0, 1 + 5e-11):
                 alphas = tuple(a * scale for a in normalized_to_raw(N, coords).coeffs.alphas)
                 point = NormalizedCoords(alphas[0] / pre[0], alphas[1] / pre[1])
-                out.append((Spin(2), Spin(N - 1), alphas, _ree_3xn(N, point)))
+                out.append((Spin(2), Spin(N - 1), alphas, _ree_3xn(N, *xy(point))))
     return out
 
 
@@ -872,7 +911,7 @@ class TestMinimizerBuiltOnce:
         floor = 2.0 / N / (N + 1)  # the third coordinate of A'
         for coords in _edge_points(N) + _near_a_prime(N):
             region = classify_region(N, coords)
-            value, (sx, sy, sz), _ = _value_in_region(_per_n(N), coords, region)
+            value, (sx, sy, sz), _ = _value_in_region(_per_n(N), *xy(coords), region)
             assert sx >= 0.0 and sy >= 0.0 and sx + sy <= 1.0
             res = ree_3xn(N, coords)
             rewrapped = normalized_to_raw(N, NormalizedCoords(sx, sy)).coeffs

@@ -40,7 +40,7 @@ from ri_entropy.states import (
     to_density,
 )
 from simd_dispatch import run_avx512_off
-from test_closed_form import ree_3xn, simplex_samples
+from test_closed_form import ree_3xn, simplex_samples, xy
 
 
 def simplex_points(n: int, seed: int):
@@ -333,7 +333,7 @@ class TestRootStart:
         xs, ys = (np.array(c) for c in zip(*pts))
         _, _, vals, steps, widths = _polygon_search(N, xs, ys, _POLYGON_TOL)
         assert set(steps.tolist()) == {0, 2} and (widths <= _POLYGON_TOL).all()
-        closed = [_value_3xn(N, NormalizedCoords(x, y)) for x, y in pts]
+        closed = [_value_3xn(N, *xy(NormalizedCoords(x, y))) for x, y in pts]
         assert np.abs(vals - closed).max() <= 1e-15
 
     @pytest.mark.parametrize("N,x,y,gap", [
@@ -350,7 +350,7 @@ class TestRootStart:
         does neither."""
         report = minimize_kl_over_polygon(N, NormalizedCoords(x, y))
         assert report.iterations == 2 and report.converged
-        assert abs(report.optimum_value - _value_3xn(N, NormalizedCoords(x, y))) <= gap
+        assert abs(report.optimum_value - _value_3xn(N, *xy(NormalizedCoords(x, y)))) <= gap
 
 
 class TestPPTEigenvalue:
@@ -421,7 +421,7 @@ class TestVerifyClosedForm:
 
     def test_zero_tolerance_fails(self, monkeypatch):
         exact = ri_entropy.oracle._value_3xn
-        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, c: exact(N, c) + 1e-3)
+        monkeypatch.setattr(ri_entropy.oracle, "_value_3xn", lambda N, x, y: exact(N, x, y) + 1e-3)
         summary = verify_closed_form("3x3", 3, samples=20, seed=2, tol=0.0)
         assert not summary.passed
         assert summary.max_abs_diff == pytest.approx(1e-3, abs=1e-12)

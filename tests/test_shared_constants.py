@@ -102,7 +102,7 @@ def test_a_warm_closed_form_call_looks_up_the_record_once(N):
         coords = NormalizedCoords(*map(statistics.fmean, zip(*poly)))
         state = normalized_to_raw(N, coords)
         alphas = state.coeffs.alphas
-        for call, args in ((fn, (N, coords)), (_value_3xn, (N, coords)),
+        for call, args in ((fn, (N, coords)), (_value_3xn, (N, coords.ahat_lo, coords.ahat_mid)),
                            (classify_region, (N, coords))):
             call(*args)  # warm
             assert _lookups(call, *args) == [once, none, none, none], call

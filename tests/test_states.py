@@ -258,6 +258,103 @@ class TestNormalizationEdges:
         assert outcomes == expected
 
 
+def _checked_alphas_ordered(j1, j2, alphas, renorm_tol=RENORM_TOL):
+    """`states._checked_alphas` as it was before it took a valid vector in one pass:
+    every vector through the ordered checks.  Kept frozen, as the reference."""
+    w = states._block_weights(j1.twice_j, j2.twice_j)
+    vals = [float(a) for a in alphas]
+    if len(vals) != len(w):
+        raise ValueError(f"expected {len(w)} coefficients for ({j1}, {j2}), got {len(vals)}")
+    for renormalized in (False, True):
+        clamped = [0.0 if a < 0.0 else a for a in vals]
+        try:
+            total = math.fsum(map(lambda wk, a: wk * a, w, clamped))
+        except OverflowError:
+            total = math.inf
+        if renormalized or not NORM_TOL < abs(total - 1.0) < renorm_tol:
+            break
+        vals = [a / total for a in vals]
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"coefficients not normalized: weighted sum = {total}")
+    if j2.twice_j < j1.twice_j:
+        raise ValueError("expected j2 >= j1")
+    for a in vals:
+        if not math.isfinite(a):
+            raise ValueError("non-finite coefficient")
+        if a < -states.NEG_CLAMP:
+            raise ValueError(f"negative coefficient {a}")
+    return tuple(clamped), renormalized
+
+
+def _one_pass_table():
+    """(j1, j2, alphas) of every kind of vector: valid; at the NORM_TOL edges and
+    one ulp past them; renormalizable; overflowing; with NaN, +-inf, -0.0 or -1e-12
+    and its neighbours in each place; one coefficient short or extra; j2 < j1."""
+    edge = -states.NEG_CLAMP
+    specials = (math.nan, math.inf, -math.inf, -0.0, 0.0, edge,
+                math.nextafter(edge, -1.0), math.nextafter(edge, 0.0))
+    totals = [1.0 + 1e-9, 1.0 - 1e-9]
+    for t in (1.0 + NORM_TOL, 1.0 - NORM_TOL):
+        totals += [t, math.nextafter(t, 0.0), math.nextafter(t, 2.0)]
+    out = []
+    for tj1, tj2 in ((1, 1), (1, 2), (1, 9), (2, 2), (2, 6), (2, 10**8), (3, 3)):
+        j1, j2 = Spin(tj1), Spin(tj2)
+        w = states._block_weights(tj1, tj2)
+        shares = [k + 1.0 for k in range(len(w))]
+        base = tuple(s / sum(shares) / wk for s, wk in zip(shares, w))
+        vectors = [base, tuple(w), (1e308,) * len(w), (1.7e308,) * len(w),
+                   base + (0.0,), base[:-1]]
+        vectors += [tuple(t * a for a in base) for t in totals]
+        for k in range(len(w)):  # first, middle and last place, of a block 0 or not
+            rest = [0.0 if i == k else s for i, s in enumerate(shares)]
+            zeroed = tuple(s / sum(rest) / wk for s, wk in zip(rest, w))
+            for v in specials:
+                vectors += [base[:k] + (v,) + base[k + 1:], zeroed[:k] + (v,) + zeroed[k + 1:]]
+        vectors.append((math.nan,) + base[1:-1] + (-1.0,))
+        out += [(j1, j2, a) for a in vectors]
+        out += [(j2, j1, a) for a in vectors if tj1 != tj2]  # the same vectors, spins swapped
+    return out
+
+
+class TestOnePassCheck:
+    """`_checked_alphas` stores, flags and refuses every vector as the ordered checks do."""
+
+    @staticmethod
+    def _verdict(check, *args):
+        try:
+            stored, renormalized = check(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        assert type(stored) is tuple
+        return tuple(map(float.hex, stored)), renormalized
+
+    @pytest.mark.parametrize("renorm_tol", [RENORM_TOL, 0.0])
+    def test_table_matches_the_ordered_checks(self, renorm_tol):
+        verdicts = set()
+        for j1, j2, alphas in _one_pass_table():
+            got = self._verdict(states._checked_alphas, j1, j2, alphas, renorm_tol)
+            want = self._verdict(_checked_alphas_ordered, j1, j2, alphas, renorm_tol)
+            assert got == want, (j1, j2, alphas)
+            verdicts.add(want[1] if want[0] is ValueError else ("stored", want[1]))
+        # accepted as given, renormalized (at RENORM_TOL only), and each refusal
+        kinds = {v if isinstance(v, tuple) else v.split(" ")[0] for v in verdicts}
+        assert kinds >= {("stored", False), "expected", "coefficients", "non-finite", "negative"}
+        assert (("stored", True) in kinds) == (renorm_tol > 0.0)
+
+    def test_random_vectors_match_the_ordered_checks(self):
+        rng = np.random.default_rng(2025)
+        for tj1, tj2 in ((1, 1), (1, 4), (2, 2), (2, 6), (2, 3)):
+            j1, j2 = Spin(tj1), Spin(tj2)
+            w = np.array(states._block_weights(tj1, tj2))
+            for _ in range(300):
+                alphas = rng.dirichlet(np.ones(len(w))) / w
+                alphas *= 1.0 + rng.choice((0.0, 5e-11, -5e-11, 3e-9, 2e-8))
+                alphas[rng.integers(len(w))] *= rng.choice((1.0, 1.0, -1e-13, 0.0))
+                for args in ((j1, j2, alphas.tolist()), (j2, j1, alphas.tolist())):
+                    assert self._verdict(states._checked_alphas, *args) == self._verdict(
+                        _checked_alphas_ordered, *args), args
+
+
 class TestToDensity:
     def test_dense_matrix_is_real(self):
         rng = np.random.default_rng(3)
