@@ -15,7 +15,6 @@ from ri_entropy.cli import (EXIT_IO, EXIT_OK, EXIT_UNSUPPORTED, EXIT_VALIDATION,
                             _report_payload, _result_payload, dumps_record, format_spin, main)
 from ri_entropy.closed_form import UnsupportedFamilyError, _ree_3xn, ree_2xn, ree_dispatch
 from ri_entropy.states import NormalizedCoords, make_ri_state
-from simd_dispatch import run_avx512_off
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -654,14 +653,13 @@ def prints_oracle_figures(cmd: str) -> bool:
 
 
 def run_pinned(capsys, cmd: str):
-    """(exit code, stdout, stderr) of a pinned command; one that prints oracle figures
-    runs with numpy's AVX-512 dispatch off (`simd_dispatch`), as it was pinned."""
-    if prints_oracle_figures(cmd):
-        done = run_avx512_off("-m", "ri_entropy.cli", *shlex.split(cmd))
-        return done.returncode, done.stdout, done.stderr
+    """(exit code, stdout, stderr) of a pinned command, run in-process.  Its oracle
+    figures are pinned as libm's `log` gives them, so `TestGolden` runs every row
+    under the `libm_log` fixture."""
     return run(capsys, *shlex.split(cmd))
 
 
+@pytest.mark.usefixtures("libm_log")
 class TestGolden:
     def test_every_readme_command_is_pinned(self):
         shown = {line.split("ri-entropy ", 1)[1].strip()

@@ -39,7 +39,6 @@ from ri_entropy.states import (
     quantum_relative_entropy,
     to_density,
 )
-from simd_dispatch import run_avx512_off
 from test_closed_form import ree_3xn, simplex_samples, xy
 
 
@@ -501,11 +500,12 @@ class TestIndependentRoute:
             assert ppt_min_eigenvalue(sigma) >= -1e-10
 
 
-# SHA-256 of `oracle_fingerprint()` with numpy's AVX-512 dispatch off: any change
-# to a bit of the oracle's searches or campaign summaries changes it
+# SHA-256 of `oracle_fingerprint()` with libm's `log` standing in for numpy's
+# (the `libm_log` fixture): any change to a bit of the oracle's searches or
+# campaign summaries changes it
 ORACLE_FINGERPRINT = "7e38320e685426d8f730aebd73cce85161c6d538633f402a6e5596167e380d79"
-# SHA-256 of `interval_fingerprint()` likewise: the 2(x)N searches alone, unchanged
-# since the 3(x)N searches start at the exact root of a quadratic
+# SHA-256 of `interval_fingerprint()`, also with libm's `log`: the 2(x)N searches
+# alone, unchanged since the 3(x)N searches start at the exact root of a quadratic
 INTERVAL_FINGERPRINT = "ec62c95f8c01d6693526730b2770389027ec3e0c83c1c2065ce08d65eb0188b9"
 
 
@@ -560,18 +560,14 @@ def interval_fingerprint() -> str:
     return sha256_of(outputs())
 
 
+@pytest.mark.usefixtures("libm_log")
 class TestBitIdentity:
-    """Computed with numpy's AVX-512 dispatch off (`simd_dispatch`), whose float64
-    log differs from the other code paths in the last bit."""
-
-    @staticmethod
-    def fingerprint(name: str) -> str:
-        done = run_avx512_off("-c", f"from test_oracle import {name}; print({name}())")
-        assert done.returncode == 0, done.stderr
-        return done.stdout.strip()
+    """Computed in-process with libm's `log` standing in for numpy's (`libm_log`):
+    numpy's AVX-512 float64 `log` differs from libm's in the last bit on some
+    inputs, so the pins hold on any dispatch of a glibc host."""
 
     def test_oracle_outputs_are_pinned(self):
-        assert self.fingerprint("oracle_fingerprint") == ORACLE_FINGERPRINT
+        assert oracle_fingerprint() == ORACLE_FINGERPRINT
 
     def test_interval_outputs_are_pinned(self):
-        assert self.fingerprint("interval_fingerprint") == INTERVAL_FINGERPRINT
+        assert interval_fingerprint() == INTERVAL_FINGERPRINT
