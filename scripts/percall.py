@@ -6,9 +6,9 @@
 Cases, from fixed seeds:
   - the closed-form calls: `NormalizedCoords(x, y)`; `raw_to_normalized` and
     `make_ri_state` of a 3(x)7 state; `ree_2xn` at j = 3/2, separable and
-    entangled; `ree_3xn_odd(N, c)` at N = 7 and 10^8+1, with c the vertex mean
-    of each region's polygon, and `e_gamma_3xn_even(10^8+2, c)` in `TRI_A'DH`,
-    where the constants in N round; `ree_dispatch` on a separable 2(x)2, an
+    entangled; `ree_3x3(c)`, and `ree_3xn_odd(N, c)` at N = 7 and 10^8+1, with
+    c the vertex mean of each region's polygon, and `e_gamma_3xn_even(10^8+2, c)`
+    in `TRI_A'DH`, where the constants in N round; `ree_dispatch` on a separable 2(x)2, an
     entangled 2(x)4 and a 3(x)7 alpha-vector, and on a 3(x)(10^8+1) alpha-vector
     at the vertex mean of each region; `ree_3xn_odd` and `ree_dispatch` at
     N = 10^8+1 on HBF_STATE, whose region test takes the exact fallback twice;
@@ -90,6 +90,8 @@ def cases(mod) -> dict:
     out[closed, "`raw_to_normalized`, 3⊗7", "per call"] = (st.raw_to_normalized, (fce,))
     for p, kind in ((0.3, "separable"), (0.9, "entangled")):
         out[closed, f"`ree_2xn(j, {p})`, j = 3/2, {kind}", "per call"] = (cf.ree_2xn, (j, p))
+    for region, c in centroids(3).items():
+        out[closed, f"`ree_3x3(c)`, c in `{region}`", "per call"] = (cf.ree_3x3, (c,))
     for N, label in ((7, "7"), (10**8 + 1, "10⁸+1")):
         for region, c in centroids(N).items():
             out[closed, f"`ree_3xn_odd({label}, c)`, c in `{region}`", "per call"] = (

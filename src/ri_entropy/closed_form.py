@@ -4,11 +4,11 @@ Families:
   * 2(x)N (j1 = 1/2, any j2): one-parameter family in the weight p of
     the lower total-spin block; piecewise formula with separability
     threshold p = 2j/(2j+1).
-  * 3(x)3: four regions (separable rectangle ADA'E plus three
-    triangles) with geometric minimizer construction.
-  * 3(x)N, odd N >= 5: four regions; in the two flanking regions the
-    minimizer sits on an edge of the separable polygon at a parameter
-    that solves a quadratic.
+  * 3(x)N, N = 3 and odd N >= 5: four regions; in the two flanking
+    regions the minimizer sits on an edge of the separable polygon at a
+    parameter that solves a quadratic.  At N = 3 the quadratic is linear
+    and its root is the paper's 3(x)3 construction: the projection from C
+    onto EA' or from B onto DA'.
   * 3(x)N, even N >= 4: the same expressions evaluate E_Gamma (the
     minimum over PPT states), a lower bound of the REE.
 
@@ -19,7 +19,8 @@ condition of the KL objective along the edge EA'; the resulting t1 is
 
 (the source expression for t1 carries the opposite sign on the middle
 term, which fails the oracle cross-check; see the test suite).  Both
-roots are expressed in barycentric units.
+roots are expressed in barycentric units, and each flanking minimizer is
+solved for in a form that divides by nothing that vanishes at N = 3.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def ree_2xn(j: Spin, p: float) -> REEResult:
 
 
 def ree_3x3(coords: NormalizedCoords) -> REEResult:
-    """REE of a two-spin-1 RI state from its barycentric coordinates."""
+    """REE of a two-spin-1 RI state from its barycentric coordinates: the 3(x)N form at N = 3."""
     return _ree_3xn(3, coords.ahat_lo, coords.ahat_mid)
 
 
@@ -223,44 +224,40 @@ def _value_in_region(k: _PerN, x: float, y: float, region: Region):
     if region is _SEPARABLE:
         return 0.0, (x, y, hi), None
     root = None
-
-    if region is _TRI_APRIME_CE:
-        # N = 3: project from C onto the line EA' (sigma_y = 1/2)
-        sigma = (x / (2.0 * (1.0 - y)) if y < 1.0 else 0.0, 0.5)
-    elif region is _TRI_APRIME_BD:
-        # N = 3: project from B onto the line DA' (sigma_x = 1/3)
-        sigma = (1.0 / 3.0, 2.0 * y / (3.0 * (1.0 - x)) if x < 1.0 else 0.0)
-    elif region is _POLY_APRIME_HBF or region is _TRI_APRIME_BC:
+    if region is _POLY_APRIME_HBF or region is _TRI_APRIME_BC:
         # the whole region shares the minimizer A'
         sigma = k.a_prime
-    elif region is _POLY_APRIME_FCE:
-        # minimizer on EA' at s = (N-1) a / (N-3), a the smaller root of
-        # (N-1)^2 a^2 + t1 a + N(N-3) x = 0 (t1 < 0); disc is taken from the same
-        # quadratic in 1 - s, whose constant c0 <= 0 is the A'-F form: no cancellation
-        n1, nn3, n1sq, c1k, n2, c0k, q4, r2, nm1, nm3, scale = k.fce
+    elif region is _POLY_APRIME_FCE or region is _TRI_APRIME_CE:
+        # minimizer on EA' at s = 2N(N-1) x / q, q = -t1 + sqrt disc, the root of
+        # (N-3) s^2 + t1 s / (N-1) + N x = 0 (t1 < 0) for the root a = (N-3) s / (N-1)
+        # of the paper's quadratic; disc is taken from the same quadratic in 1 - s, whose
+        # constant c0 <= 0 is the A'-F form: no cancellation.  q = 0 only at C for N = 3
+        n1, nn3, n1sq, c1k, n2, c0k, q4, r2, r1, scale = k.fce
         t1 = n1 * y - nn3 * x - n1sq               # (N+1) y - N(N-3) x - (N-1)^2
         c1 = -t1 - c1k                             # -t1 - 2(N-1)(N-3)
         c0 = n2 * x + n1 * y - c0k                 # 2N x + (N+1) y - 2(N-1)
-        disc = c1 * c1 - q4 * c0                   # c1^2 - 4(N-1)(N-3) c0
-        a = r2 * x / (-t1 + math.sqrt(max(disc, 0.0)))  # 2N(N-3) x / (-t1 + sqrt disc)
-        s = min(max(nm1 * a / nm3, 0.0), 1.0)
+        q = -t1 + math.sqrt(max(c1 * c1 - q4 * c0, 0.0))  # disc = c1^2 - 4(N-1)(N-3) c0
+        s = min(r1 * x / q, 1.0) if q > 0.0 else 0.0
         sigma = _segment_root(k.e, k.a_prime, s)
-        root = ("a", a, t1 * scale)
-    elif region is _TRI_APRIME_DH:
-        # minimizer on the edge DA' at s = u / ((N+3)(N-1)(N-3)), where
-        # u = 2N(N^2-5) b - K, K = (N+3)(N-1)^2, for the larger root b of
-        # 2N(N^2-5) b^2 - t2 b + K x = 0; u solves u^2 + beta u - gamma = 0
-        # with gamma >= 0 and is taken in the form that does not cancel
-        K, M, p3, den, scale = k.dh
+        if region is _POLY_APRIME_FCE:
+            root = ("a", r2 * x / q, t1 * scale)   # a = 2N(N-3) x / q
+    elif region is _TRI_APRIME_DH or region is _TRI_APRIME_BD:
+        # minimizer on DA' at s, the root of den s^2 + beta s - c = 0 with
+        # den = (N+3)(N-1)(N-3) and c = (N-1)(N+1)^2 y >= 0, in the form that does not
+        # cancel, for the root b = (den s + K) / M of M b^2 - t2 b + K x = 0, where
+        # M = 2N(N^2-5) and K = (N+3)(N-1)^2
+        K, M, p3, cn, den, scale = k.dh
         Py = p3 * y                                # (N+1)^2 (N-3) y
-        t2 = K + M * x + Py
         beta = K - M * x - Py
-        gamma = K * Py
-        sq = math.sqrt(beta * beta + 4.0 * gamma)
-        u = 2.0 * gamma / (beta + sq) if beta > 0.0 else (sq - beta) / 2.0
-        s = min(max(u / den, 0.0), 1.0)
-        sigma = _segment_root(k.d, k.a_prime, s)
-        root = ("b", (u + K) / M, t2 * scale)
+        c = cn * y
+        sq = math.sqrt(beta * beta + 4.0 * den * c)
+        if beta > 0.0:
+            s = 2.0 * c / (beta + sq)
+        else:  # den = 0 only at N = 3, where beta = 0 only at B
+            s = (sq - beta) / (2.0 * den) if den > 0.0 else 0.0
+        sigma = _segment_root(k.d, k.a_prime, min(s, 1.0))
+        if region is _TRI_APRIME_DH:
+            root = ("b", (den * s + K) / M, (K + M * x + Py) * scale)
     else:  # pragma: no cover
         raise ValueError(f"region {region} is not defined for N = {k.n}")
     # sigma is on the PPT polygon, where the third coordinate is at least that

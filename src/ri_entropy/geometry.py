@@ -123,9 +123,9 @@ class NormalizedChart(NamedTuple):
     d: Point2
     e: Point2
     a_prime: Point2
-    f: Point2 | None
-    g: Point2 | None
-    h: Point2 | None
+    f: Point2
+    g: Point2
+    h: Point2
 
 
 def normalized_chart(N: int) -> NormalizedChart:
@@ -144,12 +144,9 @@ def _normalized_chart(N: int) -> NormalizedChart:
     d = Point2((N - 1) / (2 * N), 0.0)
     e = Point2(0.0, (N - 1) / (N + 1))
     ap = Point2((N - 2) / N, 2 / (N + 1))
-    if N == 3:
-        f = g = h = None
-    else:
-        f = Point2((N - 3) / (N - 1), 2 / (N - 1))
-        g = Point2((N - 1) ** 2 * (N + 3) / (2 * N * (N * N - 5)), 0.0)
-        h = Point2((N + 3) * (N - 1) * (N - 2) / (N * (N * N - 5)), 0.0)
+    f = Point2((N - 3) / (N - 1), 2 / (N - 1))  # N = 3: F = C and G = H = B
+    g = Point2((N - 1) ** 2 * (N + 3) / (2 * N * (N * N - 5)), 0.0)
+    h = Point2((N + 3) * (N - 1) * (N - 2) / (N * (N * N - 5)), 0.0)
     return NormalizedChart(a, b, c, d, e, ap, f, g, h)
 
 
@@ -204,9 +201,9 @@ class _PerN(NamedTuple):
     e: Point2
     a_prime: Point2
     fce: tuple          # N+1, N(N-3), (N-1)^2, 2(N-1)(N-3), 2N, 2(N-1), 4.0(N-1)(N-3),
-                        # 2.0 N(N-3), each times 2^-e; N-1, N-3; 2.0^e
-    dh: tuple           # K = (N+3)(N-1)^2, 2.0 N(N^2-5), (N+1)^2 (N-3), (N+3)(N-1)(N-3),
-                        # each times 2^-e; 2.0^e
+                        # 2.0 N(N-3), 2N(N-1), each times 2^-e; 2.0^e
+    dh: tuple           # K = (N+3)(N-1)^2, 2.0 N(N^2-5), (N+1)^2 (N-3), (N-1)(N+1)^2,
+                        # (N+3)(N-1)(N-3), each times 2^-e; 2.0^e
     floor: float        # 2/N/(N+1), the third coordinate of A'
     prefactors: tuple   # `states._prefactors(N)`
     spin: Spin          # Spin(N - 1), the second spin
@@ -233,11 +230,11 @@ def _per_n(N: int) -> _PerN:
     f = 2 ** e
     fce = ((N + 1) / f, N * (N - 3) / f, (N - 1) ** 2 / f, 2 * (N - 1) * (N - 3) / f,
            2 * N / f, 2 * (N - 1) / f, 4.0 * (N - 1) * ((N - 3) / f), 2.0 * N * ((N - 3) / f),
-           float(N - 1), float(N - 3), 2.0 ** e)
+           2 * N * (N - 1) / f, 2.0 ** e)
     e = max(3 * N.bit_length() - 508, 0)
     f = 2 ** e
     dh = ((N + 3) * (N - 1) ** 2 / f, 2.0 * N * ((N * N - 5) / f), (N + 1) ** 2 * (N - 3) / f,
-          (N + 3) * (N - 1) * (N - 3) / f, 2.0 ** e)
+          (N - 1) * (N + 1) ** 2 / f, (N + 3) * (N - 1) * (N - 3) / f, 2.0 ** e)
     return _PerN(N, lines, approx, N > 3, ch.d, ch.e, ch.a_prime, fce, dh, 2.0 / N / (N + 1),
                  _prefactors(N), _spin_of_n(N), "E_Gamma" if N % 2 == 0 else "E_r")
 

@@ -155,27 +155,52 @@ class TestValueCore3xN:
             assert _value_3xn(N, *xy(coords)).hex() == _ree_3xn(N, *xy(coords)).value.hex()
 
 
+def _minimizer_point(res):
+    """Barycentric (x, y) of a 3(x)N result's minimizer."""
+    coords = raw_to_normalized(RIState(res.minimizer))
+    return coords.ahat_lo, coords.ahat_mid
+
+
 class Test3x3:
+    """N = 3 through the 3(x)N flanking roots: each is linear there, a projection
+    from C onto EA' or from B onto DA'."""
+
     def test_vertex_c(self):
         res = ree_3x3(NormalizedCoords(0.0, 1.0))
         assert res.value == pytest.approx(math.log(2), abs=1e-12)
         assert res.region is Region.TRI_APRIME_CE
+        assert _minimizer_point(res) == pytest.approx((0.0, 0.5), abs=1e-15)  # E
+        assert res.aux is None
 
     def test_vertex_b(self):
         res = ree_3x3(NormalizedCoords(1.0, 0.0))
         assert res.value == pytest.approx(math.log(3), abs=1e-12)
         assert res.region is Region.TRI_APRIME_BD
+        assert _minimizer_point(res) == pytest.approx((1 / 3, 0.0), abs=1e-15)  # D
+        assert res.aux is None
 
     def test_a_prime_is_separable(self):
         res = ree_3x3(NormalizedCoords(1 / 3, 0.5))
         assert res.value == 0.0 and res.region is Region.SEPARABLE
 
+    @pytest.mark.parametrize("x,y,region,point", [
+        (0.1, 0.8, Region.TRI_APRIME_CE, (0.25, 0.5)),     # (x / (2(1-y)), 1/2), from C
+        (0.6, 0.1, Region.TRI_APRIME_BD, (1 / 3, 1 / 6)),  # (1/3, 2y / (3(1-x))), from B
+    ])
+    def test_projected_minimizers(self, x, y, region, point):
+        res = ree_3x3(NormalizedCoords(x, y))
+        assert res.region is region
+        assert _minimizer_point(res) == pytest.approx(point, abs=1e-15)
+        assert res.aux is None
+        sigma = (*point, 1.0 - sum(point))
+        assert res.value == pytest.approx(
+            sum(p * math.log(p / q) for p, q in zip((x, y, 1.0 - x - y), sigma)), abs=1e-15)
+
     def test_triangle_a_bc_uses_fixed_minimizer(self):
         res = ree_3x3(NormalizedCoords(0.45, 0.45))
         assert res.region is Region.TRI_APRIME_BC
-        coords = raw_to_normalized(RIState(res.minimizer))
-        assert coords.ahat_lo == pytest.approx(1 / 3, abs=1e-12)
-        assert coords.ahat_mid == pytest.approx(0.5, abs=1e-12)
+        assert _minimizer_point(res) == pytest.approx((1 / 3, 0.5), abs=1e-12)
+        assert res.aux is None
 
 
 class Test3xNOdd:
@@ -565,7 +590,7 @@ def _golden_records():
 
 # a change to these is a change of closed-form output and must be deliberate
 GOLDEN_COUNT = 496
-GOLDEN_SHA256 = "f12640e47b20445fce957cbd1e9fe4b77507f7951b11299fb55cacd1273ff362"
+GOLDEN_SHA256 = "a4acfbd1ff347c372855f3d175d12aa37171016d0a27775e8669236b0598e262"
 
 
 class TestGoldenValues:
@@ -628,7 +653,7 @@ def _large_n_records():
 
 # as GOLDEN_SHA256: a change to these is a change of closed-form output and must be deliberate
 LARGE_N_COUNT = 1401
-LARGE_N_SHA256 = "5fd23e614543f39404b812197adb7f11f383189255add8ed01cdb0cd9bfecff9"
+LARGE_N_SHA256 = "5e2d3553023c21a3a60bf3410ed57226c4fe9dbe5da1dade323b9de10064cb16"
 
 
 class TestLargeNGolden:
@@ -878,7 +903,7 @@ def _near_a_prime(N):
     ch = normalized_chart(N)
     ap = ch.a_prime
     points = set()
-    for end in (ch.d, ch.e, ch.f or ch.c, ch.h or ch.b):
+    for end in (ch.d, ch.e, ch.f, ch.h):
         for sign in (1.0, -1.0):
             for k in range(0, 110, 3):
                 t = sign * 2.0 ** -k

@@ -31,11 +31,8 @@ def chart(N):
     pts = {"A": (F(0), F(0)), "B": (F(1), F(0)), "C": (F(0), F(1)),
            "D": (F(N - 1, 2 * N), F(0)), "E": (F(0), F(N - 1, N + 1)),
            "A'": (F(N - 2, N), F(2, N + 1))}
-    if N == 3:
-        pts["F"], pts["H"] = pts["C"], pts["B"]
-    else:
-        pts["F"] = (F(N - 3, N - 1), F(2, N - 1))
-        pts["H"] = (F((N + 3) * (N - 1) * (N - 2), N * (N * N - 5)), F(0))
+    pts["F"] = (F(N - 3, N - 1), F(2, N - 1))  # N = 3: F = C and H = B
+    pts["H"] = (F((N + 3) * (N - 1) * (N - 2), N * (N * N - 5)), F(0))
     return pts
 
 

@@ -86,6 +86,11 @@ class TestPolygonAndLandmarks:
         assert G == pytest.approx((16 * math.sqrt(5) / 25, 0.0), abs=1e-12)
         assert H == pytest.approx((24 * math.sqrt(5) / 25, 0.0), abs=1e-12)
 
+    def test_n3_chart_landmarks_are_vertices(self):
+        # the general expressions degenerate exactly: F = C and G = H = B
+        ch = normalized_chart(3)
+        assert (ch.f, ch.g, ch.h) == (ch.c, ch.b, ch.b) == ((0.0, 1.0), (1.0, 0.0), (1.0, 0.0))
+
     @pytest.mark.parametrize("N", [5, 7, 9, 12, 15])
     def test_f_on_segment_bc(self, N):
         _, B, C = simplex_vertices(N)

@@ -500,10 +500,12 @@ class TestIndependentRoute:
             assert ppt_min_eigenvalue(sigma) >= -1e-10
 
 
-# SHA-256 of `oracle_fingerprint()` with libm's `log` standing in for numpy's
-# (the `libm_log` fixture): any change to a bit of the oracle's searches or
-# campaign summaries changes it
-ORACLE_FINGERPRINT = "7e38320e685426d8f730aebd73cce85161c6d538633f402a6e5596167e380d79"
+# SHA-256 of `search_fingerprint()` with libm's `log` standing in for numpy's
+# (the `libm_log` fixture): any change to a bit of the oracle's searches changes it
+SEARCH_FINGERPRINT = "3e28b36b946a751d3aa58e9e9f5a4a65f734d475fa49c52257cc28ad156d6dbd"
+# SHA-256 of `campaign_fingerprint()`, also with libm's `log`: the campaign gaps
+# include closed-form values, so a change to a bit of either side changes it
+CAMPAIGN_FINGERPRINT = "af0c132d491eb41119e790fe56082bcb878dbae4fbca162c699955f332475614"
 # SHA-256 of `interval_fingerprint()`, also with libm's `log`: the 2(x)N searches
 # alone, unchanged since the 3(x)N searches start at the exact root of a quadratic
 INTERVAL_FINGERPRINT = "ec62c95f8c01d6693526730b2770389027ec3e0c83c1c2065ce08d65eb0188b9"
@@ -519,10 +521,9 @@ def sha256_of(outputs) -> str:
     return digest.hexdigest()
 
 
-def oracle_fingerprint() -> str:
+def search_fingerprint() -> str:
     """SHA-256 over float.hex of the values, points, steps and widths of a
-    fixed set of interval and polygon searches, and of the worst gap and
-    worst input of every campaign at two seeds."""
+    fixed set of interval and polygon searches."""
     def outputs():
         for tj in (1, 2, 3, 4):
             j = Spin(tj)
@@ -539,6 +540,13 @@ def oracle_fingerprint() -> str:
             xs = np.concatenate([xs, [p[0] for p in pts]])
             ys = np.concatenate([ys, [p[1] for p in pts]])
             yield from _polygon_search(N, xs, ys, _POLYGON_TOL)
+    return sha256_of(outputs())
+
+
+def campaign_fingerprint() -> str:
+    """SHA-256 over float.hex of the worst gap and worst input of every
+    campaign at two seeds."""
+    def outputs():
         for seed in (8, 21):
             for family, param in CAMPAIGNS:
                 summary = verify_closed_form(family, param, samples=20, seed=seed, tol=1e-6)
@@ -567,7 +575,10 @@ class TestBitIdentity:
     inputs, so the pins hold on any dispatch of a glibc host."""
 
     def test_oracle_outputs_are_pinned(self):
-        assert oracle_fingerprint() == ORACLE_FINGERPRINT
+        assert search_fingerprint() == SEARCH_FINGERPRINT
+
+    def test_campaign_outputs_are_pinned(self):
+        assert campaign_fingerprint() == CAMPAIGN_FINGERPRINT
 
     def test_interval_outputs_are_pinned(self):
         assert interval_fingerprint() == INTERVAL_FINGERPRINT
