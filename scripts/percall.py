@@ -17,8 +17,10 @@ Cases, from fixed seeds:
     and its closed-form minimizer, on the total-M blocks and on the same matrices
     without factor dims (one whole-matrix solve), `to_density` and
     `ppt_min_eigenvalue`;
-  - `oracle._polygon_search` of one state outside the N = 5 polygon, and
-    `oracle._interval_search` (j = 1/2) at 1 and at 170 columns.
+  - `oracle._polygon_search` of one state outside the N = 5 polygon;
+    `oracle._interval_search` (j = 1/2) at 1 and at 170 columns; and the
+    2(x)N campaign `verify_closed_form("2xN", 1/2)` of 170 samples, the
+    benchmark's `oracle_dense` op that sets its p99.
 
 A case's time in one round is the best of 3 blocks of C calls; its figure is the
 median over the R rounds.  With --against, the `ri_entropy` package under SRC
@@ -149,6 +151,8 @@ def cases(mod) -> dict:
     for ps in (np.array([0.9]), rng.random(170)):
         out["search", f"_interval_search, {len(ps)} column{'s' * (len(ps) > 1)}", "per call"] = (
             orc._interval_search, (Spin(1), ps, orc._INTERVAL_TOL))
+    out["search", "verify_closed_form, 2⊗N at j = 1/2, 170 samples", "per call"] = (
+        orc.verify_closed_form, ("2xN", 0.5, 170, SEED, 1e-6))
     return out
 
 

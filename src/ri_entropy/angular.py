@@ -109,6 +109,24 @@ class DenseOperator:
         return self.mat.shape[0]
 
 
+def _setstate(self, state) -> None:
+    """__setstate__ of the package's frozen slotted dataclasses, from the list of field
+    values that they pickle, or from the instance dict of a pickle written before they
+    had slots, whose keys must be the fields.  Assigned after the decorator: 3.10's
+    `dataclass(slots=True)` replaces one defined in the class body."""
+    names = type(self).__slots__
+    if isinstance(state, dict):
+        if state.keys() != set(names):
+            raise TypeError(f"cannot load {type(self).__name__} (fields {', '.join(names)}) "
+                            f"from a state with the keys {', '.join(map(str, state))}")
+        state = [state[name] for name in names]
+    for name, value in zip(names, state):
+        object.__setattr__(self, name, value)
+
+
+Spin.__setstate__ = DenseOperator.__setstate__ = _setstate
+
+
 def _fact_half(twice_n: int) -> int:
     """(twice_n/2)! for an even non-negative doubled integer."""
     if twice_n < 0 or twice_n % 2:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angular import Spin
+from .angular import Spin, _setstate
 from .geometry import (
     _ENTANGLED_INTERVAL,
     _POLY_APRIME_FCE,
@@ -97,6 +97,8 @@ class REEResult:
     quantity: str = "E_r"   # "E_r" or "E_Gamma"
     aux: RootInfo | None = None
 
+
+RootInfo.__setstate__ = REEResult.__setstate__ = _setstate
 
 # Positional builders, by bound slot setters: a closed form's fields are valid by construction.
 
@@ -172,6 +174,30 @@ def _value_2xn(tj: int, p: float) -> float:
         return 0.0
     q = 1.0 - p  # p > 0 here; the q term takes 0 ln 0 = 0
     return max(p * math.log((tj + 1) * p / tj) + (q * math.log((tj + 1) * q) if q else 0.0), 0.0)
+
+
+def _values_2xn(tj: int, ps):
+    """`_value_2xn(tj, p)` of every p of the float64 array ps, bit for bit, as a new array.
+
+    numpy's -, * and / round as Python's float operators do, and the int operands enter
+    as the floats that Python converts them to; each log is libm's `math.log`, taken
+    on the entangled entries only.  A q = 0 argument is replaced by 1: q ln 1 = 0.0,
+    the term the scalar form adds there."""
+    import numpy as np
+
+    out = np.zeros(len(ps))
+    on = ps > tj / (tj + 1)  # the threshold as the scalar form rounds it
+    p = ps[on]
+    if n := len(p):
+        q = 1.0 - p
+        n1 = float(tj + 1)
+        args = np.concatenate((n1 * p / float(tj), n1 * q))
+        args[n:][q == 0.0] = 1.0
+        logs = np.fromiter(map(math.log, args.tolist()), float, 2 * n)
+        v = p * logs[:n] + q * logs[n:]
+        v[v < 0.0] = 0.0  # max(v, 0.0)
+        out[on] = v
+    return out
 
 
 def ree_2xn(j: Spin, p: float) -> REEResult:

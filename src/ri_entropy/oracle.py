@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import Spin, _projector_stacks
-from .closed_form import _value_2xn, _value_3xn, separability_threshold
+from .angular import Spin, _projector_stacks, _setstate
+from .closed_form import _value_3xn, _values_2xn, separability_threshold
 from .geometry import ppt_polygon
 from .states import NormalizedCoords, RIState, _check_n, _density_scales, _prefactors
 
@@ -74,6 +74,9 @@ class VerificationSummary:
     max_abs_diff: float
     worst_input: tuple
     passed: bool
+
+
+MinimizationReport.__setstate__ = VerificationSummary.__setstate__ = _setstate
 
 
 def _total(rows):
@@ -269,8 +272,10 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
     """Compare the closed form against the oracle on seeded uniform samples.
 
     Families: "2xN" (param = j), "3x3", "3xN-odd", "3xN-even" (param = N).
-    The family and N are checked once per campaign; each sample's closed-form
-    value then comes from its family's value core, without a minimizer.  The
+    The family and N are checked once per campaign; the closed-form values then
+    come without a minimizer: a 2(x)N campaign's in one pass of
+    `closed_form._values_2xn`, bit for bit those of the scalar core, with libm's
+    log and no numpy transcendental; a 3(x)N sample's from `_value_3xn`.  The
     oracle runs on all samples as one batch; 3(x)N samples are uniform on the
     simplex via sorted uniform spacings.
     """
@@ -284,7 +289,7 @@ def verify_closed_form(family: str, param, samples: int, seed: int,
         j = param if isinstance(param, Spin) else Spin.of(param)
         separability_threshold(j)  # refuses j = 0 before any sample
         ps = rng.random(samples)
-        closed = np.array([_value_2xn(j.twice_j, p) for p in ps.tolist()])
+        closed = _values_2xn(j.twice_j, ps)
         orac = _interval_search(j, ps, _INTERVAL_TOL)[1]
         inputs = (ps,)
         param_out = j.j

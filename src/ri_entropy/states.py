@@ -30,7 +30,8 @@ from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .angular import DenseOperator, Spin, _m_blocks, _projector_stacks, coupling_range
+from .angular import (DenseOperator, Spin, _m_blocks, _projector_stacks, _setstate,
+                      coupling_range)
 
 __all__ = [
     "AlphaVector",
@@ -207,6 +208,8 @@ class NormalizedCoords:
     def ahat_hi(self) -> float:
         return max(1.0 - self.ahat_lo - self.ahat_mid, 0.0)  # lo + mid may round to 1
 
+
+AlphaVector.__setstate__ = RIState.__setstate__ = NormalizedCoords.__setstate__ = _setstate
 
 # the private builders: object.__new__, then each field stored through its slot's __set__
 _new, _alpha_vector = object.__new__, AlphaVector._unchecked  # no attribute read per call

@@ -360,8 +360,8 @@ class TestVerify:
         assert len(rec["result"]["worst_input"]) == 2
 
     def test_zero_tolerance_fails_2xn(self, capsys, monkeypatch):
-        exact = ri_entropy.oracle._value_2xn
-        monkeypatch.setattr(ri_entropy.oracle, "_value_2xn", lambda tj, p: exact(tj, p) + 1e-3)
+        exact = ri_entropy.oracle._values_2xn
+        monkeypatch.setattr(ri_entropy.oracle, "_values_2xn", lambda tj, ps: exact(tj, ps) + 1e-3)
         code, out, _ = run(capsys, "verify", "--family", "2xN", "--param", "1",
                            "--samples", "10", "--seed", "0", "--tol", "0")
         rec = json.loads(out)

@@ -1,6 +1,7 @@
 """Tests for the closed-form E_r / E_Gamma expressions."""
 
 import copy
+import copyreg
 import dataclasses
 import hashlib
 import math
@@ -28,6 +29,7 @@ from ri_entropy.closed_form import (
     _value_2xn,
     _value_3xn,
     _value_in_region,
+    _values_2xn,
     e_gamma_3xn_even,
     p_of_state,
     ree_2xn,
@@ -165,17 +167,25 @@ def _value_2xn_with_xlogy(tj: int, p: float) -> float:
 
 
 class TestValueCore2xNBits:
-    """The 0 ln 0 = 0 case written into `_value_2xn` gives the bits of the helper form."""
+    """The 0 ln 0 = 0 case written into `_value_2xn` gives the bits of the helper form,
+    and the campaign kernel `_values_2xn` gives those of `_value_2xn` for every p."""
 
-    @pytest.mark.parametrize("tj", [*range(1, 13), 99])
+    # 2j = 2^53 + 1: float(2j) rounds, and the threshold is 1 - 2^-53, which the int
+    # division rounds and float(2j) / float(2j + 1) does not give; 10^20 is past int64
+    @pytest.mark.parametrize("tj", [*range(1, 13), 99, 2**53 + 1, 10**20])
     def test_same_bits_as_the_helper_form(self, tj):
         pc = tj / (tj + 1)
         ps = [0.0, pc, math.nextafter(pc, 0.0), math.nextafter(pc, 1.0), 1.0 - 2.0**-53, 1.0]
         rng = np.random.default_rng([28, tj])
         ps += rng.random(2500).tolist()                   # the whole interval
         ps += (pc + (1.0 - pc) * rng.random(2500)).tolist()  # the entangled side
-        for p in ps:
+        batch = _values_2xn(tj, np.array(ps))
+        assert batch.dtype == np.float64 and batch.shape == (len(ps),)
+        for p, value in zip(ps, batch.tolist()):
             assert _value_2xn(tj, p).hex() == _value_2xn_with_xlogy(tj, p).hex(), p
+            assert value.hex() == _value_2xn(tj, p).hex(), p
+        empty = _values_2xn(tj, np.empty(0))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 class TestValueCore3xN:
@@ -1253,6 +1263,43 @@ class TestSlottedDataclasses:
             with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
                 act()
         assert not hasattr(obj, "no_such_field")
+
+
+def _dict_reduce(self, protocol):
+    """The reduce of a frozen dataclass without slots: its state is the instance dict."""
+    state = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+    if protocol < 2:
+        return copyreg._reconstructor, (type(self), object, None), state
+    return copyreg.__newobj__, (type(self),), state
+
+
+class TestDictStatePickles:
+    """A pickle written before the classes had slots holds each instance dict as its
+    state; it loads to an equal object, and a state with other keys is refused."""
+
+    @pytest.mark.parametrize("cls", [REEResult, NormalizedCoords, Spin],
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_loads_equal(self, monkeypatch, cls, protocol):
+        obj = SLOTTED[cls]
+        with monkeypatch.context() as patch:
+            for slotted in SLOTTED:  # nested instances pickle as they did too
+                patch.setattr(slotted, "__reduce_ex__", _dict_reduce)
+            data = pickle.dumps(obj, protocol)
+        assert data != pickle.dumps(obj, protocol)  # the dict form, not today's list
+        back = pickle.loads(data)
+        assert type(back) is cls and back == obj and hash(back) == hash(obj)
+        assert _key(back) == _key(obj) and repr(back) == repr(obj)
+
+    @pytest.mark.parametrize("state", [{"twice_j": 3, "spin": 3}, {}, {"spin": 3}],
+                             ids=["extra", "empty", "other"])
+    def test_other_keys_refused(self, state):
+        class Old:
+            def __reduce_ex__(self, protocol):
+                return copyreg._reconstructor, (Spin, object, None), state
+
+        with pytest.raises(TypeError, match=r"^cannot load Spin \(fields twice_j\)"):
+            pickle.loads(pickle.dumps(Old()))
 
 
 class TestNCheckedOnce:

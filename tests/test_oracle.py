@@ -396,7 +396,8 @@ class TestVerifyClosedForm:
         assert summary.max_abs_diff == max(diffs)
 
     def test_no_samples(self):
-        for family, param in CAMPAIGNS:
+        # 2j = 2^53 + 1 and 10^20: the 2(x)N kernel's threshold and floats of 2j, on no sample
+        for family, param in (*CAMPAIGNS, ("2xN", Spin(2**53 + 1)), ("2xN", Spin(10**20))):
             summary = verify_closed_form(family, param, samples=0, seed=0, tol=1e-6)
             assert summary.passed and summary.worst_input == ()
             assert summary.max_abs_diff == 0.0  # an absolute difference is never negative
@@ -427,8 +428,8 @@ class TestVerifyClosedForm:
         assert summary.worst_input in zip(*simplex_points(20, seed=2))  # reported for triage
 
     def test_zero_tolerance_fails_2xn(self, monkeypatch):
-        exact = ri_entropy.oracle._value_2xn
-        monkeypatch.setattr(ri_entropy.oracle, "_value_2xn", lambda tj, p: exact(tj, p) + 1e-3)
+        exact = ri_entropy.oracle._values_2xn
+        monkeypatch.setattr(ri_entropy.oracle, "_values_2xn", lambda tj, ps: exact(tj, ps) + 1e-3)
         summary = verify_closed_form("2xN", 1.0, samples=20, seed=2, tol=0.0)
         assert not summary.passed
         assert summary.max_abs_diff == pytest.approx(1e-3, abs=1e-12)
